@@ -26,7 +26,8 @@
    list-based oracle) and records the in-run speedup ratios.  With
    --check it exits 1 when any measured speedup falls below 90% of the
    committed baseline floor — ratios, not absolutes, so the gate holds
-   across machines of different speeds.
+   across machines of different speeds — and 2 when the baseline file
+   cannot be read or is not valid JSON.
 
    The drift mode replays the calibration history through the Vqc_drift
    retention pipeline over the full catalog x policy matrix:
@@ -218,6 +219,7 @@ let run_timings () =
 
 module Estimator = Vqc_sim.Estimator
 module Json = Vqc_obs.Json
+module Json_io = Vqc_service.Json_io
 
 type estimator_row = {
   workload : string;
@@ -492,59 +494,31 @@ type mc_row = {
   trials_per_s : float;
 }
 
-(* Minimal number extraction for the committed baseline file.  The file
-   is flat, ours, and checked in — a full JSON parser (Mini_json lives
-   in the test tree) would be overkill for three keyed floats. *)
-let baseline_number text key =
-  let needle = "\"" ^ key ^ "\"" in
-  let needle_length = String.length needle in
-  let length = String.length text in
-  let rec find i =
-    if i + needle_length > length then None
-    else if String.sub text i needle_length = needle then
-      Some (i + needle_length)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let i = ref start in
-    while
-      !i < length
-      &&
-      match text.[!i] with
-      | ':' | ' ' | '\t' | '\n' | '\r' -> true
-      | _ -> false
-    do
-      incr i
-    done;
-    let number_start = !i in
-    while
-      !i < length
-      &&
-      match text.[!i] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr i
-    done;
-    if !i = number_start then None
-    else float_of_string_opt (String.sub text number_start (!i - number_start))
-
 (* The >10% regression rule: a measured speedup may drift with machine
    load, but dropping below 90% of the committed floor means the
    optimized path lost real ground on the reference path running in the
    same process on the same hardware. *)
 let check_against_baseline ~file measured =
-  match In_channel.with_open_text file In_channel.input_all with
-  | exception Sys_error message ->
-    Printf.eprintf "bench kernels: cannot read baseline %s: %s\n" file message;
+  let baseline =
+    match In_channel.with_open_text file In_channel.input_all with
+    | exception Sys_error message ->
+      Error (Printf.sprintf "cannot read baseline %s: %s" file message)
+    | text ->
+      Result.map_error
+        (Printf.sprintf "malformed baseline %s: %s" file)
+        (Json_io.parse text)
+  in
+  match baseline with
+  | Error message ->
+    Printf.eprintf "bench kernels: %s\n" message;
     Some 2
-  | text ->
+  | Ok baseline ->
     let failures =
       List.filter_map
         (fun (key, value) ->
-          match baseline_number text key with
+          match
+            Option.bind (Json_io.member key baseline) Json_io.float_value
+          with
           | None ->
             Some (Printf.sprintf "baseline %s lacks a %S number" file key)
           | Some floor ->

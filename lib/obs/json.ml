@@ -24,12 +24,16 @@ let escape buffer s =
   Buffer.add_char buffer '"'
 
 (* Shortest of the fixed-precision renderings that round-trips, so the
-   common cases stay readable (0.5, not 0.50000000000000000). *)
+   common cases stay readable (0.5, not 0.50000000000000000).  A
+   rendering without '.' or 'e' (2^53 prints as 9007199254740992) gets
+   a ".0" so a reader still sees a float, not an int. *)
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else
     let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (function '.' | 'e' -> true | _ -> false) s then s
+    else s ^ ".0"
 
 let rec write buffer json =
   match json with

@@ -107,10 +107,12 @@ let run_session t fd =
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () ->
-      (* close_out flushes and closes the shared descriptor; close_in
-         then finds it already gone *)
-      (try close_out oc with Sys_error _ -> ());
-      (try close_in ic with Sys_error _ -> ());
+      (* [oc] is the descriptor's one owner: close_out_noerr flushes
+         what it can, then closes the fd exactly once even when the
+         flush fails with Sys_error (peer gone).  [ic] reads the same fd
+         and is never closed — a second close would hit the fd number
+         after the accept domain may have reused it for a new client. *)
+      close_out_noerr oc;
       Atomic.decr t.active;
       Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
       mark_done t (Domain.self ()))

@@ -129,28 +129,41 @@ let parse_exn text =
     loop ();
     Buffer.contents buffer
   in
+  (* RFC 8259: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
   let parse_number () =
     let start = !pos in
-    let number_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let at_digit () =
+      match peek () with Some c -> '0' <= c && c <= '9' | None -> false
     in
-    while match peek () with Some c -> number_char c | None -> false do
-      advance ()
-    done;
+    let digits () =
+      if not (at_digit ()) then fail "bad number";
+      while at_digit () do
+        advance ()
+      done
+    in
+    if peek () = Some '-' then advance ();
+    if peek () = Some '0' then begin
+      advance ();
+      if at_digit () then fail "leading zero"
+    end
+    else digits ();
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+      advance ();
+      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      digits ()
+    | _ -> ());
+    (* past the grammar, int_of_string only accepts plain decimal
+       integers: a fraction, an exponent or an int overflow reads as a
+       float *)
     let s = String.sub text start (!pos - start) in
-    let integral =
-      String.for_all (function '.' | 'e' | 'E' -> false | _ -> true) s
-    in
-    if integral then
-      match int_of_string_opt s with
-      | Some i -> Json.Int i
-      | None -> fail ("bad number " ^ s)
-    else
-      match float_of_string_opt s with
-      | Some f -> Json.Float f
-      | None -> fail ("bad number " ^ s)
+    match int_of_string_opt s with
+    | Some i -> Json.Int i
+    | None -> Json.Float (float_of_string s)
   in
   let rec parse_value () =
     skip_ws ();

@@ -1,12 +1,16 @@
-(** Strict JSON parsing for the wire layer.
+(** Strict JSON parsing: the repo's one JSON reader.
 
-    The observability layer deliberately only {e emits} JSON
-    ({!Vqc_obs.Json}); the serving layer is the first subsystem that has
-    to read it — every [vqc-serve] request arrives as one JSON object on
-    one line.  This parser accepts exactly RFC 8259 JSON (no comments,
-    no trailing commas, no unquoted keys) and produces the same
-    {!Vqc_obs.Json.t} tree the emitter consumes, so a parsed value can
-    be echoed back verbatim (request ids round-trip through responses).
+    Emission lives in {!Vqc_obs.Json}; this module reads the same
+    {!Vqc_obs.Json.t} tree back, so a parsed value can be echoed
+    verbatim (request ids round-trip through responses).  Its callers:
+    the [vqc-serve] wire {!Protocol} (one JSON object per request
+    line), the [bench kernels --check] baseline gate, and the test
+    suites, which check trace, SARIF and response lines with it.
+
+    It accepts exactly RFC 8259 JSON: no comments, no trailing commas,
+    no unquoted keys, and numbers only in the grammar
+    [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?] — so
+    [+1], [01], [.5] and [1.] are errors.
 
     Numbers without [.], [e] or [E] that fit in an OCaml [int] parse as
     [Int]; everything else parses as [Float].  [\u] escapes decode to

@@ -28,6 +28,8 @@ module Baseline = Vqc_check.Baseline
 module History = Vqc_device.History
 module Epoch = Vqc_service.Epoch
 module Protocol = Vqc_service.Protocol
+module Json = Vqc_obs.Json
+module Json_io = Vqc_service.Json_io
 module Service = Vqc_service.Service
 
 let check = Alcotest.(check bool)
@@ -470,19 +472,23 @@ let test_calib_full_sweep_is_baselined () =
 
 (* ---- Sarif ----------------------------------------------------------- *)
 
-let json_member name = function
-  | Mini_json.Obj fields ->
-    (match List.assoc_opt name fields with
-    | Some value -> value
-    | None -> Alcotest.fail ("missing member " ^ name))
-  | _ -> Alcotest.fail ("not an object around " ^ name)
+let parse_json text =
+  match Json_io.parse text with
+  | Ok json -> json
+  | Error reason -> Alcotest.failf "invalid JSON (%s)" reason
 
-let json_string = function
-  | Mini_json.String s -> s
-  | _ -> Alcotest.fail "not a string"
+let json_member name json =
+  match Json_io.member name json with
+  | Some value -> value
+  | None -> Alcotest.fail ("missing member " ^ name)
+
+let json_string json =
+  match Json_io.string_value json with
+  | Some s -> s
+  | None -> Alcotest.fail "not a string"
 
 let json_list = function
-  | Mini_json.List l -> l
+  | Json.List l -> l
   | _ -> Alcotest.fail "not a list"
 
 let sarif_fixture_findings () =
@@ -495,7 +501,7 @@ let sarif_fixture_findings () =
   ]
 
 let test_sarif_structure () =
-  let sarif = Mini_json.parse (Sarif.render (sarif_fixture_findings ())) in
+  let sarif = parse_json (Sarif.render (sarif_fixture_findings ())) in
   check_string "$schema" Sarif.schema (json_string (json_member "$schema" sarif));
   check_string "version" "2.1.0" (json_string (json_member "version" sarif));
   let run = List.hd (json_list (json_member "runs" sarif)) in
@@ -515,7 +521,7 @@ let test_sarif_structure () =
     List.filter_map
       (fun r ->
         match r with
-        | Mini_json.Obj fields when List.mem_assoc "locations" fields ->
+        | Json.Obj fields when List.mem_assoc "locations" fields ->
           Some (List.hd (json_list (List.assoc "locations" fields)))
         | _ -> None)
       results
@@ -526,8 +532,7 @@ let test_sarif_structure () =
     check_string "uri" "lib/a.ml"
       (json_string (json_member "uri" (json_member "artifactLocation" physical)));
     check "startLine" true
-      (json_member "startLine" (json_member "region" physical)
-      = Mini_json.Number 3.0)
+      (json_member "startLine" (json_member "region" physical) = Json.Int 3)
   | _ -> Alcotest.fail "expected exactly one located result"
 
 (* A deliberately small JSON-Schema evaluator — just the keywords the
@@ -536,37 +541,35 @@ let test_sarif_structure () =
 let rec validate_schema ~path schema json =
   let fail message = Alcotest.fail (Printf.sprintf "%s: %s" path message) in
   match schema with
-  | Mini_json.Obj fields ->
+  | Json.Obj fields ->
     let field name = List.assoc_opt name fields in
     (match field "const" with
     | Some c when c <> json -> fail "const mismatch"
     | _ -> ());
     (match field "enum" with
-    | Some (Mini_json.List choices) when not (List.mem json choices) ->
+    | Some (Json.List choices) when not (List.mem json choices) ->
       fail "enum mismatch"
     | _ -> ());
     (match (field "type", json) with
-    | Some (Mini_json.String "object"), Mini_json.Obj _
-    | Some (Mini_json.String "array"), Mini_json.List _
-    | Some (Mini_json.String "string"), Mini_json.String _ ->
+    | Some (Json.String "object"), Json.Obj _
+    | Some (Json.String "array"), Json.List _
+    | Some (Json.String "string"), Json.String _
+    | Some (Json.String "integer"), Json.Int _ ->
       ()
-    | Some (Mini_json.String "integer"), Mini_json.Number n
-      when Float.is_integer n ->
-      ()
-    | Some (Mini_json.String expected), _ -> fail ("not a " ^ expected)
+    | Some (Json.String expected), _ -> fail ("not a " ^ expected)
     | _ -> ());
     (match (field "required", json) with
-    | Some (Mini_json.List names), Mini_json.Obj members ->
+    | Some (Json.List names), Json.Obj members ->
       List.iter
         (function
-          | Mini_json.String name ->
+          | Json.String name ->
             if not (List.mem_assoc name members) then
               fail ("missing required member " ^ name)
           | _ -> ())
         names
     | _ -> ());
     (match (field "properties", json) with
-    | Some (Mini_json.Obj properties), Mini_json.Obj members ->
+    | Some (Json.Obj properties), Json.Obj members ->
       List.iter
         (fun (name, value) ->
           match List.assoc_opt name properties with
@@ -576,7 +579,7 @@ let rec validate_schema ~path schema json =
         members
     | _ -> ());
     (match (field "items", json) with
-    | Some subschema, Mini_json.List elements ->
+    | Some subschema, Json.List elements ->
       List.iteri
         (fun i element ->
           validate_schema ~path:(Printf.sprintf "%s[%d]" path i) subschema
@@ -593,10 +596,10 @@ let test_sarif_validates_against_schema () =
       [ "fixtures/sarif-schema.json"; "test/fixtures/sarif-schema.json" ]
   in
   let schema =
-    Mini_json.parse (In_channel.with_open_text fixture In_channel.input_all)
+    parse_json (In_channel.with_open_text fixture In_channel.input_all)
   in
   let validate findings =
-    validate_schema ~path:"$" schema (Mini_json.parse (Sarif.render findings))
+    validate_schema ~path:"$" schema (parse_json (Sarif.render findings))
   in
   validate (sarif_fixture_findings ());
   validate [];

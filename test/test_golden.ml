@@ -12,6 +12,7 @@ module Context = Vqc_experiments.Context
 module Pool = Vqc_engine.Pool
 module Trace = Vqc_obs.Trace
 module Metrics = Vqc_obs.Metrics
+module Json_io = Vqc_service.Json_io
 
 let check = Alcotest.(check bool)
 
@@ -206,14 +207,16 @@ let test_cli_fanout_trace_and_bytes () =
       let sources =
         List.map
           (fun line ->
-            match Mini_json.parse line with
-            | exception Mini_json.Invalid reason ->
+            match Json_io.parse line with
+            | Error reason ->
               Alcotest.fail
                 (Printf.sprintf "invalid JSONL line (%s): %s" reason line)
-            | json -> (
-              match Mini_json.member "source" json with
-              | Some (Mini_json.String source) -> source
-              | _ -> Alcotest.fail ("event without source: " ^ line)))
+            | Ok json -> (
+              match
+                Option.bind (Json_io.member "source" json) Json_io.string_value
+              with
+              | Some source -> source
+              | None -> Alcotest.fail ("event without source: " ^ line)))
           lines
         |> List.sort_uniq compare
       in

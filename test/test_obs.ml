@@ -8,6 +8,7 @@ module Metrics = Vqc_obs.Metrics
 module Trace = Vqc_obs.Trace
 module Span = Vqc_obs.Span
 module Json = Vqc_obs.Json
+module Json_io = Vqc_service.Json_io
 module Monte_carlo = Vqc_sim.Monte_carlo
 module Compiler = Vqc_mapper.Compiler
 module Catalog = Vqc_workloads.Catalog
@@ -29,6 +30,12 @@ let buffer_sink buffer =
     Trace.write = (fun line -> Buffer.add_string buffer line);
     flush = ignore;
   }
+
+(* trace lines are checked with the same parser that reads requests *)
+let parse_json line =
+  match Json_io.parse line with
+  | Ok json -> json
+  | Error reason -> Alcotest.failf "invalid JSON (%s): %s" reason line
 
 (* ---- counters and gauges -------------------------------------------- *)
 
@@ -161,18 +168,17 @@ let test_span_events_reach_the_sink () =
   in
   check_int "one event per span" 2 (List.length lines);
   (* innermost closes first *)
-  let first = Mini_json.parse (List.hd lines) in
-  check "name" true
-    (Mini_json.member "name" first = Some (Mini_json.String "inner"));
+  let first = parse_json (List.hd lines) in
+  check "name" true (Json_io.member "name" first = Some (Json.String "inner"));
   check "path" true
-    (Mini_json.member "path" first = Some (Mini_json.String "outer/inner"));
-  check "ok" true (Mini_json.member "ok" first = Some (Mini_json.Bool true));
+    (Json_io.member "path" first = Some (Json.String "outer/inner"));
+  check "ok" true (Json_io.member "ok" first = Some (Json.Bool true));
+  let seconds =
+    Option.bind (Json_io.member "nd" first) (Json_io.member "seconds")
+  in
   check "duration under nd" true
-    (match Mini_json.member "nd" first with
-    | Some nd -> (
-      match Mini_json.member "seconds" nd with
-      | Some (Mini_json.Number s) -> s >= 0.0
-      | _ -> false)
+    (match Option.bind seconds Json_io.float_value with
+    | Some s -> s >= 0.0
     | None -> false)
 
 (* ---- trace sink ----------------------------------------------------- *)
@@ -200,19 +206,15 @@ let test_emitted_lines_are_valid_json () =
           ("items", Json.List [ Json.Int 1; Json.String "two" ]);
         ]);
   check "sink restored" true (not (Trace.enabled ()));
-  let line = String.trim (Buffer.contents captured) in
-  match Mini_json.parse line with
-  | exception Mini_json.Invalid reason ->
-    Alcotest.fail (Printf.sprintf "invalid JSON (%s): %s" reason line)
-  | json ->
-    check "source" true
-      (Mini_json.member "source" json = Some (Mini_json.String "test"));
-    check "string round-trips" true
-      (Mini_json.member "text" json
-      = Some (Mini_json.String "quote\" backslash\\ newline\n tab\t"));
-    check "non-finite floats become null" true
-      (Mini_json.member "inf" json = Some Mini_json.Null
-      && Mini_json.member "nan" json = Some Mini_json.Null)
+  let json = parse_json (String.trim (Buffer.contents captured)) in
+  check "source" true
+    (Json_io.member "source" json = Some (Json.String "test"));
+  check "string round-trips" true
+    (Json_io.member "text" json
+    = Some (Json.String "quote\" backslash\\ newline\n tab\t"));
+  check "non-finite floats become null" true
+    (Json_io.member "inf" json = Some Json.Null
+    && Json_io.member "nan" json = Some Json.Null)
 
 let test_snapshot_to_trace () =
   let counter_name = fresh "snapshot" in
@@ -224,13 +226,13 @@ let test_snapshot_to_trace () =
   let events =
     Buffer.contents captured |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
-    |> List.map Mini_json.parse
+    |> List.map parse_json
   in
   let has_metric event name =
     List.exists
       (fun json ->
-        Mini_json.member "event" json = Some (Mini_json.String event)
-        && Mini_json.member "name" json = Some (Mini_json.String name))
+        Json_io.member "event" json = Some (Json.String event)
+        && Json_io.member "name" json = Some (Json.String name))
       events
   in
   check "counter snapshot present" true (has_metric "counter" counter_name);

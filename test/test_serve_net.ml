@@ -210,14 +210,14 @@ let test_tcp_matches_stdin () =
    invariance claim. *)
 let test_multi_client_determinism () =
   let goldens =
-    Array.init 8 (fun index ->
+    Array.init 64 (fun index ->
         deterministic
           (snd (stdin_run ~config:(base_config ~jobs:1 ~shards:1)
                   (stream index))))
   in
   List.iter
     (fun (shards, jobs, clients) ->
-      with_server ~jobs ~shards (fun port ->
+      with_server ~clients_max:64 ~jobs ~shards (fun port ->
           let results =
             Load.run ~port ~clients ~requests:(fun index -> stream index) ()
           in
@@ -242,6 +242,9 @@ let test_multi_client_determinism () =
       (4, 1, 8);
       (4, 4, 2);
       (4, 4, 8);
+      (* 64 sessions churn fd numbers fast enough to expose a session
+         that closes its descriptor twice *)
+      (4, 2, 64);
     ]
 
 (* ---- backpressure renders identically on both front ends ------------ *)

@@ -39,6 +39,9 @@ let test_json_parse_values () =
   check "string" true (ok {|"hi"|} = Json.String "hi");
   check "escapes" true (ok {|"a\nb\"c"|} = Json.String "a\nb\"c");
   check "unicode escape" true (ok {|"A"|} = Json.String "A");
+  check "int beyond int range is float" true
+    (ok "4611686018427387904" = Json.Float 4611686018427387904.0);
+  check "negative zero" true (ok "-0.0" = Json.Float (-0.0));
   check "nested" true
     (ok {|{"a":[1,{"b":null}],"c":""}|}
     = Json.Obj
@@ -54,20 +57,91 @@ let test_json_parse_errors () =
   check "unterminated" true (bad {|"abc|});
   check "bare key" true (bad "{a:1}");
   check "trailing comma" true (bad "[1,]");
-  check "lone surrogate" true (bad {|"\ud800"|})
+  check "lone surrogate" true (bad {|"\ud800"|});
+  (* numbers outside the RFC 8259 grammar *)
+  List.iter
+    (fun number -> check ("number " ^ number) true (bad number))
+    [ "+1"; "01"; "00"; "-01"; ".5"; "-.5"; "1."; "1.e5"; "-"; "1e"; "1e+" ];
+  check "id +1 refused" true (bad {|{"workload":"bv-3","id":+1}|});
+  check_string "error names the byte offset" "bad number at 3"
+    (Result.get_error (Json_io.parse "[1.]"))
 
-let test_json_roundtrips_emitter () =
-  (* whatever the obs emitter writes, the service parser reads back *)
-  let value =
-    Json.Obj
+(* Whatever the obs emitter writes, the service parser reads back, bit
+   for bit: floats compare by IEEE-754 bits so -0. and subnormals count. *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal same_json xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> k = l && same_json x y) xs ys
+  | _ -> a = b
+
+let gen_json =
+  let open QCheck2.Gen in
+  let gen_string =
+    (* quotes, backslashes, every control byte and raw UTF-8 bytes *)
+    string_size
+      ~gen:(oneof [ char; oneofl [ '"'; '\\' ]; char_range '\000' '\031' ])
+      (int_range 0 12)
+  in
+  let gen_float =
+    oneof
       [
-        ("s", Json.String "line\nbreak\ttab\"quote\\");
-        ("xs", Json.List [ Json.Int 1; Json.Float 0.5; Json.Bool false ]);
-        ("n", Json.Null);
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else 0.5)
+          int64;
+        oneofl
+          [
+            -0.0;
+            1e300;
+            -1e300;
+            5e-324;
+            2.2250738585072009e-308;
+            2. ** 53.;
+            1e16;
+            0.1;
+          ];
       ]
   in
-  check "parse (emit x) = x" true
-    (Result.get_ok (Json_io.parse (Json.to_string value)) = value)
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map
+          (fun i -> Json.Int i)
+          (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+        map (fun f -> Json.Float f) gen_float;
+        map (fun s -> Json.String s) gen_string;
+      ]
+  in
+  sized
+  @@ fix (fun self size ->
+         if size <= 1 then leaf
+         else
+           let child = self (size / 4) in
+           frequency
+             [
+               (1, leaf);
+               ( 1,
+                 map
+                   (fun items -> Json.List items)
+                   (list_size (int_range 0 4) child) );
+               ( 1,
+                 map
+                   (fun fields -> Json.Obj fields)
+                   (list_size (int_range 0 4) (pair gen_string child)) );
+             ])
+
+let prop_json_roundtrips_emitter =
+  QCheck2.Test.make ~name:"emitter roundtrip" ~count:500 ~print:Json.to_string
+    gen_json (fun value ->
+      match Json_io.parse (Json.to_string value) with
+      | Ok parsed -> same_json parsed value
+      | Error _ -> false)
 
 (* ---- Fingerprint --------------------------------------------------- *)
 
@@ -667,8 +741,7 @@ let () =
         [
           Alcotest.test_case "values" `Quick test_json_parse_values;
           Alcotest.test_case "errors" `Quick test_json_parse_errors;
-          Alcotest.test_case "emitter roundtrip" `Quick
-            test_json_roundtrips_emitter;
+          QCheck_alcotest.to_alcotest prop_json_roundtrips_emitter;
         ] );
       ( "fingerprint",
         [
