@@ -318,7 +318,8 @@ let self_cmd =
          hygiene in library code (VQC202), and the domain-safety \
          discipline the concurrent server depends on (VQC210 unguarded \
          top-level mutable state, VQC211 lock/unlock shape, VQC212 \
-         nested lock order).";
+         nested lock order, VQC213 two channels of one descriptor both \
+         closed).";
     ]
   in
   let root =

@@ -246,6 +246,85 @@ let lock_rules ~file tokens =
   in
   shape @ !order_findings
 
+(* ---- one owner per descriptor (VQC213) ------------------------------ *)
+
+let channel_builders =
+  [
+    dot "Unix" "in_channel_of_descr";
+    dot "Unix" "out_channel_of_descr";
+    "in_channel_of_descr";
+    "out_channel_of_descr";
+  ]
+
+let channel_closers =
+  [
+    "close_in";
+    "close_out";
+    "close_in_noerr";
+    "close_out_noerr";
+    dot "In_channel" "close";
+    dot "In_channel" "close_noerr";
+    dot "Out_channel" "close";
+    dot "Out_channel" "close_noerr";
+  ]
+
+(* Within one top-level item, [let ch = <builder> fd] ties channel [ch]
+   to descriptor [fd]; a closer applied to [ch] closes [fd].  Closing two
+   distinct channels of one descriptor closes the fd number twice, and
+   the second close can hit a descriptor another domain has meanwhile
+   been handed for a new file or socket.  Token heuristic: channels bound
+   any other way (tuples, record fields) are out of sight. *)
+let descriptor_double_close ~file tokens =
+  let findings = ref [] in
+  let check_item closes =
+    (* [closes] newest first: (fd, channel, line) *)
+    let closes = List.rev closes in
+    List.iter
+      (fun fd ->
+        match List.filter (fun (fd', _, _) -> fd' = fd) closes with
+        | (_, first, _) :: later -> (
+          match List.find_opt (fun (_, channel, _) -> channel <> first) later with
+          | Some (_, second, line) ->
+            findings :=
+              Diagnostic.errorf
+                ~location:(Diagnostic.File_line { file; line })
+                Diagnostic.code_descriptor_owner
+                "channels '%s' and '%s' both wrap descriptor '%s' and are \
+                 both closed: close it once, through one owning channel"
+                first second fd
+              :: !findings
+          | None -> ())
+        | [] -> ())
+      (List.sort_uniq compare (List.map (fun (fd, _, _) -> fd) closes))
+  in
+  let rec walk channels closes = function
+    | [] -> check_item closes
+    | (t : Tokens.token) :: rest
+      when t.Tokens.kind = Tokens.Ident && t.Tokens.text = "let"
+           && t.Tokens.column = 0 ->
+      check_item closes;
+      walk [] [] rest
+    | (l : Tokens.token)
+      :: (ch : Tokens.token)
+      :: (eq : Tokens.token)
+      :: (builder : Tokens.token)
+      :: (fd : Tokens.token)
+      :: rest
+      when l.Tokens.text = "let" && eq.Tokens.text = "="
+           && ch.Tokens.kind = Tokens.Ident && fd.Tokens.kind = Tokens.Ident
+           && List.mem builder.Tokens.text channel_builders ->
+      walk ((ch.Tokens.text, fd.Tokens.text) :: channels) closes rest
+    | (closer : Tokens.token) :: (ch : Tokens.token) :: rest
+      when closer.Tokens.kind = Tokens.Ident
+           && List.mem closer.Tokens.text channel_closers
+           && List.mem_assoc ch.Tokens.text channels ->
+      let fd = List.assoc ch.Tokens.text channels in
+      walk channels ((fd, ch.Tokens.text, closer.Tokens.line) :: closes) rest
+    | _ :: rest -> walk channels closes rest
+  in
+  walk [] [] tokens;
+  !findings
+
 (* ---- entry ----------------------------------------------------------- *)
 
 let scan_source ~file text =
@@ -253,4 +332,5 @@ let scan_source ~file text =
   banned_calls ~file tokens
   @ unguarded_state ~file tokens
   @ lock_rules ~file tokens
+  @ descriptor_double_close ~file tokens
   |> List.sort Diagnostic.compare

@@ -25,6 +25,13 @@
       lock is held, tracked linearly through the token stream) must
       follow {!canonical_lock_order}; any nesting of locks outside
       that list is flagged.
+    - [VQC213]: within one top-level item, two distinct channels bound
+      from one descriptor ([let ic = Unix.in_channel_of_descr fd],
+      [let oc = Unix.out_channel_of_descr fd]) are both closed
+      ([close_in], [close_out], their [_noerr] forms, [In_channel.close],
+      [Out_channel.close]).  Each close closes the fd number; the
+      second can hit a descriptor already reused for another client.
+      One channel must own the descriptor.
 
     All rules are pure functions of the file path and text. *)
 

@@ -6,7 +6,8 @@
     domain-safety contract on top.  This module walks every [.ml] file
     under the source roots and runs the tokenizer-driven rule set
     ({!Rules} over {!Tokens}): determinism hygiene ([VQC201]), stdout
-    hygiene ([VQC202]) and lock/state discipline ([VQC210]-[VQC212]).
+    hygiene ([VQC202]), lock/state discipline ([VQC210]-[VQC212]) and
+    descriptor ownership ([VQC213]).
     Pattern hits inside comments and string literals do not flag —
     the scan is token-aware, not a substring grep.
 

@@ -48,6 +48,7 @@ let code_stdout_hygiene = "VQC202"
 let code_unguarded_state = "VQC210"
 let code_lock_shape = "VQC211"
 let code_lock_order = "VQC212"
+let code_descriptor_owner = "VQC213"
 
 let all_codes =
   [
@@ -78,6 +79,7 @@ let all_codes =
     (code_unguarded_state, "top-level mutable state neither Atomic nor guarded");
     (code_lock_shape, "Mutex.lock without matching unlock/protect shape");
     (code_lock_order, "nested lock acquisition outside the canonical order");
+    (code_descriptor_owner, "two channels over one descriptor both closed");
   ]
 
 let describe code =

@@ -66,6 +66,8 @@
       registered as lock-protected
     - [VQC211] — [Mutex.lock] without a matching unlock/protect shape
     - [VQC212] — nested lock acquisition outside the canonical order
+    - [VQC213] — two channels built from one [*_of_descr] descriptor are
+      both closed (the second close can hit a reused fd number)
 
     Rendering is deterministic: equal diagnostics render to equal JSON,
     and {!render_list} sorts before printing. *)
@@ -120,6 +122,7 @@ val code_stdout_hygiene : string
 val code_unguarded_state : string
 val code_lock_shape : string
 val code_lock_order : string
+val code_descriptor_owner : string
 
 val all_codes : (string * string) list
 (** Every assigned code paired with its one-line description, in code

@@ -188,28 +188,35 @@ let compile ?max_expansions ?(memo = true) device policy circuit =
           policy.routings)
       policy.allocations
   in
-  let score (_, _, routed) = log_gate_reliability device routed.Router.circuit in
   let describe (allocation, routing, routed) =
     Printf.sprintf "%s/%s (%d swaps)"
       (Allocation.policy_name allocation)
       (routing_label routing)
       routed.Router.stats.Router.swaps_inserted
   in
-  let best =
-    match candidates with
+  (* one reliability walk per candidate; the strict [>] keeps the first
+     of equally scored candidates *)
+  let best_score, best =
+    match
+      List.map
+        (fun ((_, _, routed) as candidate) ->
+          (log_gate_reliability device routed.Router.circuit, candidate))
+        candidates
+    with
     | first :: rest ->
       List.fold_left
-        (fun champion candidate ->
+        (fun (champion_score, champion) (score, candidate) ->
           Log.debug (fun m ->
               m "%s: candidate %s log-reliability %.3f" policy.label
-                (describe candidate) (score candidate));
-          if score candidate > score champion then candidate else champion)
+                (describe candidate) score);
+          if score > champion_score then (score, candidate)
+          else (champion_score, champion))
         first rest
     | [] -> assert false
   in
   Log.info (fun m ->
       m "%s: chose %s, log-reliability %.3f" policy.label (describe best)
-        (score best));
+        best_score);
   Metrics.incr compiles_total;
   Metrics.add candidates_total (List.length candidates);
   if Trace.enabled () then begin

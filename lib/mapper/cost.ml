@@ -12,6 +12,8 @@ type t = {
   dist : float array array;  (* all-pairs cheapest swap-route cost *)
   adjacency : float array array;
   hop : int array array;
+  couplers : (int * int) array;  (* Device.coupling, in order *)
+  coupler_swap : float array;  (* swap cost of each coupler *)
 }
 
 (* Stamps are only ever cache keys — the counter is mutex-protected so
@@ -74,7 +76,21 @@ let make ?(swap_bias = default_swap_bias) device model =
       end
     done
   done;
-  { id = fresh_stamp (); model; device; cost_graph; dist; adjacency; hop }
+  let couplers = Array.of_list couplers in
+  let coupler_swap =
+    Array.map (fun (u, v) -> Graph.edge_weight_exn cost_graph u v) couplers
+  in
+  {
+    id = fresh_stamp ();
+    model;
+    device;
+    cost_graph;
+    dist;
+    adjacency;
+    hop;
+    couplers;
+    coupler_swap;
+  }
 
 (* ---- construction cache --------------------------------------------
 
@@ -146,6 +162,8 @@ let cnot_cost t u v =
     invalid_arg (Printf.sprintf "Cost.cnot_cost: %d--%d not coupled" u v);
   execution_cost t.model t.device u v
 
+let couplers t = t.couplers
+let coupler_swap_costs t = t.coupler_swap
 let distance t p q = t.dist.(p).(q)
 let entangle_cost t p q = t.adjacency.(p).(q)
 let hops_to_adjacency t p q = max 0 (t.hop.(p).(q) - 1)

@@ -56,6 +56,14 @@ val cnot_cost : t -> int -> int -> float
     [Reliability] — the execution link matters as much as the route.
     @raise Invalid_argument if the qubits are not coupled. *)
 
+val couplers : t -> (int * int) array
+(** {!Vqc_device.Device.coupling} ([u < v], sorted), built once per
+    table for the routers' inner loops.  Shared: do not mutate. *)
+
+val coupler_swap_costs : t -> float array
+(** {!swap_cost} of each coupler, index-aligned with {!couplers}.
+    Shared: do not mutate. *)
+
 val distance : t -> int -> int -> float
 (** Cheapest SWAP-route cost between two physical qubits (0 when equal). *)
 

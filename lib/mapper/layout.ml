@@ -55,46 +55,6 @@ let assignment l = Array.copy l.phys_of_prog
 
 let used_physicals l = List.sort compare (Array.to_list l.phys_of_prog)
 
-(* One byte per program qubit: the assignment is injective into
-   [0, physicals), so for devices under 256 qubits the packed bytes are a
-   canonical key (and far cheaper to build and hash than decimal text —
-   this runs once per generated A* successor).  Larger devices fall back
-   to the textual encoding. *)
-let key l =
-  let programs = Array.length l.phys_of_prog in
-  if Array.length l.prog_of_phys < 256 then begin
-    let bytes = Bytes.create programs in
-    for prog = 0 to programs - 1 do
-      Bytes.unsafe_set bytes prog
-        (Char.unsafe_chr (Array.unsafe_get l.phys_of_prog prog))
-    done;
-    Bytes.unsafe_to_string bytes
-  end
-  else begin
-    let buffer = Buffer.create (2 * programs) in
-    Array.iter
-      (fun phys ->
-        Buffer.add_string buffer (string_of_int phys);
-        Buffer.add_char buffer ',')
-      l.phys_of_prog;
-    Buffer.contents buffer
-  end
-
-let diff_swap a b =
-  if physicals a <> physicals b || programs a <> programs b then None
-  else begin
-    let changed = ref [] in
-    Array.iteri
-      (fun phys prog -> if b.prog_of_phys.(phys) <> prog then changed := phys :: !changed)
-      a.prog_of_phys;
-    match !changed with
-    | [ u; v ] ->
-      let swapped = swap_physical a u v in
-      if swapped.phys_of_prog = b.phys_of_prog then Some (min u v, max u v)
-      else None
-    | _ -> None
-  end
-
 let equal a b = a.phys_of_prog = b.phys_of_prog
 
 let pp ppf l =

@@ -1,5 +1,5 @@
 open Vqc_circuit
-module Astar = Vqc_graph.Astar
+module Pqueue = Vqc_graph.Pqueue
 module Device = Vqc_device.Device
 
 let log_src = Logs.Src.create "vqc.router" ~doc:"SWAP-insertion routing"
@@ -77,28 +77,57 @@ let bridge_middle cost u v =
     !best
   end
 
-(* A layer's two-qubit obligations: program CNOTs may execute bridged
-   (when enabled), program SWAPs always need adjacency. *)
-type obligation = { operands : int * int; bridgeable : bool }
+(* A layer's two-qubit obligations, as parallel arrays (the search's
+   inner loops index them per successor): program CNOTs may execute
+   bridged (when enabled), program SWAPs always need adjacency. *)
+type obligations = {
+  first : int array;  (* program operands *)
+  second : int array;
+  bridgeable : bool array;
+}
 
 let layer_obligations ~bridges layer =
-  List.filter_map
-    (fun gate ->
-      match gate with
-      | Gate.Cnot { control; target } ->
-        Some { operands = (control, target); bridgeable = bridges }
-      | Gate.Swap (a, b) -> Some { operands = (a, b); bridgeable = false }
-      | Gate.One_qubit _ | Gate.Measure _ | Gate.Barrier _ -> None)
-    layer
+  let pairs =
+    List.filter_map
+      (fun gate ->
+        match gate with
+        | Gate.Cnot { control; target } -> Some (control, target, bridges)
+        | Gate.Swap (a, b) -> Some (a, b, false)
+        | Gate.One_qubit _ | Gate.Measure _ | Gate.Barrier _ -> None)
+      layer
+    |> Array.of_list
+  in
+  {
+    first = Array.map (fun (a, _, _) -> a) pairs;
+    second = Array.map (fun (_, b, _) -> b) pairs;
+    bridgeable = Array.map (fun (_, _, bridged) -> bridged) pairs;
+  }
 
-let obligation_satisfied cost layout { operands; bridgeable } =
-  let u, v = physical_pair layout operands in
-  Device.connected (Cost.device cost) u v
-  || (bridgeable && bridge_middle cost u v <> None)
+(* A pair at hop distance 2 always has a bridge middle, so satisfiability
+   is a hop-matrix lookup. *)
+let pair_satisfied cost ~bridgeable u v =
+  match Cost.hops_to_adjacency cost u v with
+  | 0 -> true
+  | 1 -> bridgeable
+  | _ -> false
 
-(* Cost of executing one obligation under the current layout. *)
-let obligation_execution_cost cost layout { operands; bridgeable } =
-  let u, v = physical_pair layout operands in
+(* Whether every obligation is satisfiable with program qubit [p] on
+   physical [phys p]. *)
+let layer_satisfied cost obligations phys =
+  let ok = ref true in
+  for i = 0 to Array.length obligations.first - 1 do
+    if
+      !ok
+      && not
+           (pair_satisfied cost ~bridgeable:obligations.bridgeable.(i)
+              (phys obligations.first.(i))
+              (phys obligations.second.(i)))
+    then ok := false
+  done;
+  !ok
+
+(* Cost of executing one satisfied obligation between physical qubits. *)
+let pair_execution_cost cost ~bridgeable u v =
   if Device.connected (Cost.device cost) u v then Cost.cnot_cost cost u v
   else if bridgeable then
     match bridge_middle cost u v with
@@ -186,9 +215,27 @@ let greedy_satisfy ctx cost (a, b) =
    execution costs and reaches the terminal state.  This makes the
    search minimize route cost *and* execution-link cost together — under
    the reliability model a free adjacency across a terrible link is not
-   a bargain (paper Algorithm 1: D covers the full cost to entangle). *)
+   a bargain (paper Algorithm 1: D covers the full cost to entangle).
 
-type search_state = { layout : Layout.t; swap_count : int; executed : bool }
+   The search is A* specialised to this state space.  The popped state's
+   layout sits in two scratch int arrays; each SWAP successor is applied
+   in place, scored, and undone.  States are interned by a 63-bit
+   Zobrist hash of the layout (XOR of one random key per
+   (program, physical) placement, so a SWAP updates it with four XORs);
+   a hash match is confirmed by comparing the stored layout, so a
+   collision can never merge two states.  A search node is a state
+   index, a parent index, the coupler swapped on the way in, its SWAP
+   count and [g]; the SWAP path is read back from the parent chain.
+
+   Results are pinned bit-for-bit to a generic A* over functional
+   layouts (the oracle in the test suite), which fixes every tie-break
+   below:
+   successors are generated execute-first, then SWAPs in coupler order;
+   [h] is re-summed over the obligations in order from [0.0]; a push is
+   skipped when the state's best [g] is [<=] the new one; a pop is stale
+   when the best [g] is [<] the node's; the expansion cap is checked
+   before every pop; and an executed state is keyed apart from the same
+   unexecuted layout. *)
 
 (* [default_lookahead] discounts the entangle cost of the following
    layer's gates, charged at the execute transition: optimizing one layer
@@ -196,108 +243,326 @@ type search_state = { layout : Layout.t; swap_count : int; executed : bool }
    layer dearly (Zulehner et al. use a lookahead for the same reason). *)
 let default_lookahead = 0.5
 
-let layer_search cost ~max_additional_hops ~max_expansions ~lookahead
-    ~next_pairs layout obligations =
-  let couplers = Device.coupling (Cost.device cost) in
-  let physicals = Device.num_qubits (Cost.device cost) in
-  let min_moves l =
+type layer_outcome = {
+  found : bool;
+  swaps : (int * int) list;
+  expanded : int;
+}
+
+(* Scratch space of one [route] call, reused by each of its layer
+   searches. *)
+type search = {
+  cost : Cost.t;
+  physicals : int;
+  programs : int;
+  zobrist : int array;  (* program p on physical q: [p * physicals + q] *)
+  phys : int array;  (* current layout: program -> physical *)
+  prog : int array;  (* physical -> program, or -1 *)
+  active : Bytes.t;  (* physicals holding an obligation operand *)
+  frontier : int Pqueue.t;  (* node indices *)
+  (* interned states, one per distinct (layout, executed) *)
+  mutable slots : int array;  (* open addressing: state index, or -1 *)
+  mutable state_meta : int array;  (* per state: hash, executed, slot *)
+  mutable state_best : float array;  (* cheapest [g] pushed so far *)
+  mutable state_layout : int array;  (* [programs] ints per state *)
+  mutable states : int;
+  (* search nodes, one per push: state, parent (-1 at the start), the
+     coupler index swapped on the way in (-1: start or execute) and the
+     SWAP count (for the MAH budget) *)
+  mutable node_meta : int array;  (* per node: state, parent, coupler, swaps *)
+  mutable node_g : float array;
+  mutable nodes : int;
+}
+
+(* XORed into the hash of an executed state (whose flag is compared on
+   a hash match as well) *)
+let executed_key = 0x2d5b_7f3e_19a4_c6d
+
+let search_scratch cost layout =
+  let physicals = Layout.physicals layout in
+  let programs = Layout.programs layout in
+  let rng = Random.State.make [| 0x5eed; physicals; programs |] in
+  {
+    cost;
+    physicals;
+    programs;
+    zobrist =
+      Array.init (programs * physicals) (fun _ ->
+          Int64.to_int (Random.State.bits64 rng));
+    phys = Array.make programs 0;
+    prog = Array.make physicals (-1);
+    active = Bytes.make physicals '\000';
+    frontier = Pqueue.create ();
+    slots = Array.make 1 (-1);
+    state_meta = [||];
+    state_best = [||];
+    state_layout = [||];
+    states = 0;
+    node_meta = [||];
+    node_g = [||];
+    nodes = 0;
+  }
+
+let resized a length fill =
+  let b = Array.make length fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let rehash t capacity =
+  let slots = Array.make capacity (-1) in
+  let mask = capacity - 1 in
+  for s = 0 to t.states - 1 do
+    let i = ref (t.state_meta.(3 * s) land mask) in
+    while slots.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    slots.(!i) <- s;
+    t.state_meta.((3 * s) + 2) <- !i
+  done;
+  t.slots <- slots
+
+(* Room for [extra] more states and nodes (one expansion's pushes), so
+   the pushes themselves never grow an array; the state table stays at
+   most half full. *)
+let reserve t extra =
+  let states = t.states + extra and nodes = t.nodes + extra in
+  if states > Array.length t.state_best then begin
+    t.state_meta <- resized t.state_meta (6 * states) 0;
+    t.state_best <- resized t.state_best (2 * states) 0.0;
+    t.state_layout <- resized t.state_layout (2 * states * t.programs) 0
+  end;
+  if nodes > Array.length t.node_g then begin
+    t.node_meta <- resized t.node_meta (8 * nodes) 0;
+    t.node_g <- resized t.node_g (2 * nodes) 0.0
+  end;
+  if 2 * states > Array.length t.slots then begin
+    let capacity = ref (Array.length t.slots) in
+    while 2 * states > !capacity do
+      capacity := 2 * !capacity
+    done;
+    rehash t !capacity
+  end
+
+let reset t =
+  for s = 0 to t.states - 1 do
+    t.slots.(t.state_meta.((3 * s) + 2)) <- -1
+  done;
+  t.states <- 0;
+  t.nodes <- 0;
+  Pqueue.clear t.frontier
+
+(* Index of the state (hash, executed, [t.phys]) if interned, else
+   [-1 - slot] for the free slot it would take. *)
+let find_state t hash executed =
+  let mask = Array.length t.slots - 1 and p = t.programs in
+  let i = ref (hash land mask) and found = ref max_int in
+  while !found = max_int do
+    let s = t.slots.(!i) in
+    if s < 0 then found := -1 - !i
+    else begin
+      if t.state_meta.(3 * s) = hash && t.state_meta.((3 * s) + 1) = executed
+      then begin
+        let base = s * p and k = ref 0 in
+        while !k < p && t.state_layout.(base + !k) = t.phys.(!k) do
+          incr k
+        done;
+        if !k = p then found := s
+      end;
+      i := (!i + 1) land mask
+    end
+  done;
+  !found
+
+(* A* duplicate rule: reach a state again only more cheaply.  [h] is
+   evaluated (on [t.phys]) only for nodes that are pushed.  The caller
+   has {!reserve}d room. *)
+let push t ~hash ~executed ~parent ~coupler ~swaps g h =
+  let found = find_state t hash executed in
+  if found < 0 || t.state_best.(found) > g then begin
+    let state =
+      if found >= 0 then found
+      else begin
+        let s = t.states and slot = -1 - found in
+        t.state_meta.(3 * s) <- hash;
+        t.state_meta.((3 * s) + 1) <- executed;
+        t.state_meta.((3 * s) + 2) <- slot;
+        let base = s * t.programs in
+        for k = 0 to t.programs - 1 do
+          t.state_layout.(base + k) <- t.phys.(k)
+        done;
+        t.slots.(slot) <- s;
+        t.states <- s + 1;
+        s
+      end
+    in
+    t.state_best.(state) <- g;
+    let node = t.nodes in
+    t.node_meta.(4 * node) <- state;
+    t.node_meta.((4 * node) + 1) <- parent;
+    t.node_meta.((4 * node) + 2) <- coupler;
+    t.node_meta.((4 * node) + 3) <- swaps;
+    t.node_g.(node) <- g;
+    t.nodes <- node + 1;
+    Pqueue.push t.frontier (g +. h t) node
+  end
+
+let heuristic obligations t =
+  let h = ref 0.0 in
+  for i = 0 to Array.length obligations.first - 1 do
+    h :=
+      !h
+      +. Cost.entangle_cost t.cost
+           t.phys.(obligations.first.(i))
+           t.phys.(obligations.second.(i))
+  done;
+  !h
+
+let min_moves obligations t =
+  let moves = ref 0 in
+  for i = 0 to Array.length obligations.first - 1 do
+    let direct =
+      Cost.hops_to_adjacency t.cost
+        t.phys.(obligations.first.(i))
+        t.phys.(obligations.second.(i))
+    in
+    moves :=
+      !moves + if obligations.bridgeable.(i) then max 0 (direct - 1) else direct
+  done;
+  !moves
+
+(* Cost of the execute transition: this layer's execution links plus the
+   discounted entangle cost of the next layer's pairs. *)
+let execution_cost ~lookahead ~next_pairs obligations t =
+  let this_layer = ref 0.0 in
+  for i = 0 to Array.length obligations.first - 1 do
+    this_layer :=
+      !this_layer
+      +. pair_execution_cost t.cost ~bridgeable:obligations.bridgeable.(i)
+           t.phys.(obligations.first.(i))
+           t.phys.(obligations.second.(i))
+  done;
+  let next_layer =
     List.fold_left
-      (fun acc { operands; bridgeable } ->
-        let u, v = physical_pair l operands in
-        let direct = Cost.hops_to_adjacency cost u v in
-        acc + if bridgeable then max 0 (direct - 1) else direct)
-      0 obligations
+      (fun acc (a, b) -> acc +. Cost.entangle_cost t.cost t.phys.(a) t.phys.(b))
+      0.0 next_pairs
   in
+  !this_layer +. (lookahead *. next_layer)
+
+(* Loops rather than [Array.blit]: these int arrays live in the major
+   heap, where a blit writes through the GC barrier element by element. *)
+let load_layout t state =
+  let base = state * t.programs in
+  Array.fill t.prog 0 t.physicals (-1);
+  for p = 0 to t.programs - 1 do
+    let q = t.state_layout.(base + p) in
+    t.phys.(p) <- q;
+    t.prog.(q) <- p
+  done
+
+let zobrist_hash t =
+  let h = ref 0 in
+  Array.iteri
+    (fun p q -> h := !h lxor t.zobrist.((p * t.physicals) + q))
+    t.phys;
+  !h
+
+let path t goal =
+  let couplers = Cost.couplers t.cost in
+  let rec unwind node acc =
+    if node < 0 then acc
+    else begin
+      let coupler = t.node_meta.((4 * node) + 2) in
+      let acc = if coupler < 0 then acc else couplers.(coupler) :: acc in
+      unwind t.node_meta.((4 * node) + 1) acc
+    end
+  in
+  unwind goal []
+
+let run_search t ~max_additional_hops ~max_expansions ~lookahead ~next_pairs
+    layout obligations =
+  reset t;
+  Array.iteri
+    (fun p _ -> t.phys.(p) <- Layout.physical_of_program layout p)
+    t.phys;
   let budget =
     match max_additional_hops with
     | None -> max_int
-    | Some mah -> min_moves layout + mah
+    | Some mah -> min_moves obligations t + mah
   in
-  let satisfied l = List.for_all (obligation_satisfied cost l) obligations in
-  let execution_cost l =
-    let this_layer =
-      List.fold_left
-        (fun acc obligation -> acc +. obligation_execution_cost cost l obligation)
-        0.0 obligations
-    in
-    let next_layer =
-      List.fold_left
-        (fun acc (a, b) ->
-          acc
-          +. Cost.entangle_cost cost
-               (Layout.physical_of_program l a)
-               (Layout.physical_of_program l b))
-        0.0 next_pairs
-    in
-    this_layer +. (lookahead *. next_layer)
+  let couplers = Cost.couplers t.cost in
+  let swap_costs = Cost.coupler_swap_costs t.cost in
+  let z = t.zobrist and n = t.physicals in
+  let heuristic = heuristic obligations in
+  let no_heuristic _ = 0.0 in
+  reserve t 1;
+  push t ~hash:(zobrist_hash t) ~executed:0 ~parent:(-1) ~coupler:(-1)
+    ~swaps:0 0.0 heuristic;
+  let expand node =
+    let state = t.node_meta.(4 * node) in
+    let swaps = t.node_meta.((4 * node) + 3) in
+    let g = t.node_g.(node) in
+    let hash = t.state_meta.(3 * state) in
+    load_layout t state;
+    reserve t (Array.length couplers + 1);
+    if layer_satisfied t.cost obligations (Array.get t.phys) then
+      push t ~hash:(hash lxor executed_key) ~executed:1 ~parent:node
+        ~coupler:(-1) ~swaps
+        (g +. execution_cost ~lookahead ~next_pairs obligations t)
+        no_heuristic;
+    Bytes.fill t.active 0 n '\000';
+    let mark p = Bytes.set t.active t.phys.(p) '\001' in
+    Array.iter mark obligations.first;
+    Array.iter mark obligations.second;
+    let active q = Bytes.get t.active q = '\001' in
+    Array.iteri
+      (fun c (u, v) ->
+        if active u || active v then begin
+          let pu = t.prog.(u) and pv = t.prog.(v) in
+          let next = ref hash in
+          if pu >= 0 then begin
+            t.phys.(pu) <- v;
+            next := !next lxor z.((pu * n) + u) lxor z.((pu * n) + v)
+          end;
+          if pv >= 0 then begin
+            t.phys.(pv) <- u;
+            next := !next lxor z.((pv * n) + v) lxor z.((pv * n) + u)
+          end;
+          (* with no MAH budget the bound is [max_int] and the prune can
+             never fire — skip the [min_moves] recomputation *)
+          if budget = max_int || swaps + 1 + min_moves obligations t <= budget
+          then
+            push t ~hash:!next ~executed:0 ~parent:node ~coupler:c
+              ~swaps:(swaps + 1)
+              (g +. swap_costs.(c))
+              heuristic;
+          if pu >= 0 then t.phys.(pu) <- u;
+          if pv >= 0 then t.phys.(pv) <- v
+        end)
+      couplers
   in
-  (* one byte per physical qubit — rebuilt per expansion, so cheap beats
-     general (a Hashtbl here dominated the successor-generation profile) *)
-  let active l =
-    let set = Bytes.make physicals '\000' in
-    List.iter
-      (fun { operands = a, b; _ } ->
-        Bytes.unsafe_set set (Layout.physical_of_program l a) '\001';
-        Bytes.unsafe_set set (Layout.physical_of_program l b) '\001')
-      obligations;
-    set
-  in
-  let successors state =
-    if state.executed then []
-    else begin
-      let active_set = active state.layout in
-      let touches u v =
-        Bytes.unsafe_get active_set u = '\001'
-        || Bytes.unsafe_get active_set v = '\001'
-      in
-      let swaps =
-        List.filter_map
-          (fun (u, v) ->
-            if not (touches u v) then None
-            else begin
-              let layout = Layout.swap_physical state.layout u v in
-              let next =
-                { layout; swap_count = state.swap_count + 1; executed = false }
-              in
-              (* with no MAH budget the bound is [max_int] and the prune
-                 can never fire — skip the [min_moves] recomputation *)
-              if
-                budget <> max_int
-                && next.swap_count + min_moves layout > budget
-              then None
-              else Some (next, Cost.swap_cost cost u v)
-            end)
-          couplers
-      in
-      if satisfied state.layout then
-        ({ state with executed = true }, execution_cost state.layout) :: swaps
-      else swaps
-    end
-  in
-  let heuristic state =
-    if state.executed then 0.0
+  let rec drain expanded =
+    if expanded >= max_expansions then { found = false; swaps = []; expanded }
     else
-      List.fold_left
-        (fun acc { operands = a, b; _ } ->
-          acc
-          +. Cost.entangle_cost cost
-               (Layout.physical_of_program state.layout a)
-               (Layout.physical_of_program state.layout b))
-        0.0 obligations
+      match Pqueue.pop t.frontier with
+      | None -> { found = false; swaps = []; expanded }
+      | Some (_, node) ->
+        let state = t.node_meta.(4 * node) in
+        if t.state_best.(state) < t.node_g.(node) then drain expanded
+        else if t.state_meta.((3 * state) + 1) = 1 then
+          { found = true; swaps = path t node; expanded }
+        else begin
+          expand node;
+          drain (expanded + 1)
+        end
   in
-  let problem =
-    {
-      Astar.start = { layout; swap_count = 0; executed = false };
-      is_goal = (fun state -> state.executed);
-      successors;
-      heuristic;
-      key =
-        (fun state ->
-          if state.executed then "X" ^ Layout.key state.layout
-          else Layout.key state.layout);
-    }
-  in
-  Astar.search_path ~max_expansions problem
+  drain 0
+
+let layer_search ?max_additional_hops ?(max_expansions = 100_000)
+    ?(lookahead = default_lookahead) ?(bridges = false) cost layout layer
+    ~next_pairs =
+  run_search (search_scratch cost layout) ~max_additional_hops ~max_expansions
+    ~lookahead ~next_pairs layout
+    (layer_obligations ~bridges layer)
 
 (* ---- layer-search memo ---------------------------------------------
 
@@ -318,16 +583,10 @@ let layer_search cost ~max_additional_hops ~max_expansions ~lookahead
    service pool, hence the mutex) and bounded: on overflow it is
    dropped wholesale — it is a memo, not a correctness structure. *)
 
-type memo_entry = {
-  found : bool;  (* [false] replays a failed search (expansion cap) *)
-  memo_swaps : (int * int) list;  (* physical swaps in emission order *)
-  memo_expanded : int;  (* expansions the original search charged *)
-}
-
 let memo_capacity = 32_768
 let memo_lock = Mutex.create ()
 (* guarded by memo_lock *)
-let memo_table : (string, memo_entry) Hashtbl.t = Hashtbl.create 1024
+let memo_table : (string, layer_outcome) Hashtbl.t = Hashtbl.create 1024
 let memo_hits = Metrics.counter "mapper.layer_memo_hits"
 let memo_misses = Metrics.counter "mapper.layer_memo_misses"
 
@@ -351,39 +610,47 @@ let memo_store key entry =
   Hashtbl.replace memo_table key entry;
   Mutex.unlock memo_lock
 
-(* The layout key may be raw bytes (see {!Layout.key}), so it is length-
-   prefixed to keep the concatenation unambiguous. *)
 let memo_key cost ~max_additional_hops ~max_expansions ~lookahead ~next_pairs
     layout obligations =
   let b = Buffer.create 96 in
-  Buffer.add_string b (string_of_int (Cost.id cost));
+  let add_int i = Buffer.add_string b (string_of_int i) in
+  add_int (Cost.id cost);
   (match max_additional_hops with
   | None -> Buffer.add_string b "/*"
   | Some mah ->
     Buffer.add_char b '/';
-    Buffer.add_string b (string_of_int mah));
+    add_int mah);
   Buffer.add_char b '/';
-  Buffer.add_string b (string_of_int max_expansions);
+  add_int max_expansions;
   Buffer.add_char b '/';
   Buffer.add_string b (Int64.to_string (Int64.bits_of_float lookahead));
   Buffer.add_char b '/';
-  let layout_key = Layout.key layout in
-  Buffer.add_string b (string_of_int (String.length layout_key));
+  (* the layout as one byte per program qubit below 256 physicals,
+     prefixed with the program count so the concatenation stays
+     unambiguous *)
+  add_int (Layout.programs layout);
   Buffer.add_char b ':';
-  Buffer.add_string b layout_key;
-  List.iter
-    (fun { operands = oa, ob; bridgeable } ->
-      Buffer.add_char b (if bridgeable then 'B' else 'g');
-      Buffer.add_string b (string_of_int oa);
+  for p = 0 to Layout.programs layout - 1 do
+    let phys = Layout.physical_of_program layout p in
+    if Layout.physicals layout < 256 then Buffer.add_char b (Char.chr phys)
+    else begin
+      add_int phys;
+      Buffer.add_char b ','
+    end
+  done;
+  Array.iteri
+    (fun i a ->
+      Buffer.add_char b (if obligations.bridgeable.(i) then 'B' else 'g');
+      add_int a;
       Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int ob))
-    obligations;
+      add_int obligations.second.(i))
+    obligations.first;
   Buffer.add_char b '/';
   List.iter
-    (fun (oa, ob) ->
-      Buffer.add_string b (string_of_int oa);
+    (fun (x, y) ->
+      add_int x;
       Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int ob);
+      add_int y;
       Buffer.add_char b ';')
     next_pairs;
   Buffer.contents b
@@ -396,56 +663,38 @@ let route ?max_additional_hops ?(max_expansions = 100_000)
   let ctx = { layout; rev_gates = []; swaps = 0 } in
   let expansions = ref 0 in
   let fallbacks = ref 0 in
-  (* Returns true when every obligation of the layer is satisfiable. *)
-  let search_layer obligations next_pairs =
-    (* runs the A* search, replays its plan into [ctx], and returns the
-       memoizable summary of what happened *)
-    match
-      layer_search cost ~max_additional_hops ~max_expansions ~lookahead
-        ~next_pairs ctx.layout obligations
-    with
-    | Some (states, _, expanded) ->
-      expansions := !expansions + expanded;
-      let rec replay acc = function
-        | a :: (b :: _ as rest) ->
-          let acc =
-            if Layout.equal a.layout b.layout then acc
-            else begin
-              match Layout.diff_swap a.layout b.layout with
-              | Some (u, v) ->
-                emit_swap ctx u v;
-                (u, v) :: acc
-              | None -> invalid_arg "Router: non-swap A* transition"
-            end
-          in
-          replay acc rest
-        | [ _ ] | [] -> List.rev acc
-      in
-      let swaps = replay [] states in
-      { found = true; memo_swaps = swaps; memo_expanded = expanded }
-    | None -> { found = false; memo_swaps = []; memo_expanded = 0 }
+  let scratch = lazy (search_scratch cost layout) in
+  let search obligations next_pairs =
+    run_search (Lazy.force scratch) ~max_additional_hops ~max_expansions
+      ~lookahead ~next_pairs ctx.layout obligations
   in
+  (* Emits a solved layer's swaps into [ctx].  A capped search charges
+     no expansions (its layer is counted in [greedy_fallbacks]); a memo
+     replay charges what the original search did, so stats are
+     byte-identical with the memo on or off. *)
+  let apply { found; swaps; expanded } =
+    if found then begin
+      expansions := !expansions + expanded;
+      List.iter (fun (u, v) -> emit_swap ctx u v) swaps
+    end;
+    found
+  in
+  (* Returns true when every obligation of the layer is satisfiable. *)
   let solve_layer obligations next_pairs =
-    List.for_all (obligation_satisfied cost ctx.layout) obligations
+    layer_satisfied cost obligations (Layout.physical_of_program ctx.layout)
     ||
-    if not memo then (search_layer obligations next_pairs).found
+    if not memo then apply (search obligations next_pairs)
     else begin
       let key =
         memo_key cost ~max_additional_hops ~max_expansions ~lookahead
           ~next_pairs ctx.layout obligations
       in
       match memo_find key with
-      | Some { found; memo_swaps; memo_expanded } ->
-        (* replaying the recorded swaps reproduces the original search's
-           emissions and layout; charging its expansion count keeps the
-           stats (and everything derived from them) byte-identical *)
-        expansions := !expansions + memo_expanded;
-        List.iter (fun (u, v) -> emit_swap ctx u v) memo_swaps;
-        found
+      | Some outcome -> apply outcome
       | None ->
-        let entry = search_layer obligations next_pairs in
-        memo_store key entry;
-        entry.found
+        let outcome = search obligations next_pairs in
+        memo_store key outcome;
+        apply outcome
     end
   in
   (* Emit a CNOT: directly when adjacent, else as a bridge through the

@@ -64,6 +64,31 @@ val route :
     byte-identical with the memo on or off ([memo:false] exists for the
     differential tests and benchmarks, not for different results). *)
 
+type layer_outcome = {
+  found : bool;  (** [false] when the expansion cap or the MAH budget stopped it *)
+  swaps : (int * int) list;
+      (** physical SWAPs [(u, v)], [u < v], in emission order ([[]] when
+          not found) *)
+  expanded : int;  (** states expanded (popped and not stale) *)
+}
+
+val layer_search :
+  ?max_additional_hops:int ->
+  ?max_expansions:int ->
+  ?lookahead:float ->
+  ?bridges:bool ->
+  Cost.t ->
+  Layout.t ->
+  Gate.t list ->
+  next_pairs:(int * int) list ->
+  layer_outcome
+(** The A* search {!route} runs on one layer: the cheapest SWAP
+    sequence, followed by the layer's execution (plus [lookahead] times
+    the entangle cost of the program pairs [next_pairs]), that makes
+    every two-qubit gate of the layer executable from the given layout.
+    Optional arguments default as in {!route}.  Exposed for the
+    differential tests; {!route} is the entry point for routing. *)
+
 val memo_clear : unit -> unit
 (** Drop every memoized layer search (a fresh-process state for
     benchmarks; never needed for correctness). *)

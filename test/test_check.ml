@@ -343,6 +343,63 @@ let test_rule_lock_order () =
   only_code Diagnostic.code_lock_order
     (scan "lib/foo/a.ml" (nested "hlock" "registry_lock"))
 
+(* The session close before the one-owner fix: both channels of the
+   accepted socket were closed, so the fd number was closed twice. *)
+let double_close_session =
+  {|let run_session t fd =
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () ->
+      (try close_out oc with Sys_error _ -> ());
+      (try close_in ic with Sys_error _ -> ()))
+    (fun () -> serve t ic oc)
+|}
+
+let test_rule_descriptor_owner () =
+  (match scan "lib/foo/a.ml" double_close_session with
+  | [ d ] ->
+    check_string "code" Diagnostic.code_descriptor_owner d.Diagnostic.code;
+    check "at the second close" true
+      (d.Diagnostic.location
+      = Diagnostic.File_line { file = "lib/foo/a.ml"; line = 7 })
+  | _ -> Alcotest.fail "expected exactly one finding");
+  check "one owning channel" true
+    (scan "lib/foo/a.ml"
+       {|let f fd =
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  close_out_noerr oc
+|}
+    = []);
+  check "channels of distinct descriptors" true
+    (scan "lib/foo/a.ml"
+       {|let f a b =
+  let ic = Unix.in_channel_of_descr a in
+  let oc = Unix.out_channel_of_descr b in
+  close_in ic;
+  close_out oc
+|}
+    = []);
+  check "scoped to one top-level item" true
+    (scan "lib/foo/a.ml"
+       {|let f fd =
+  let ic = Unix.in_channel_of_descr fd in
+  close_in ic
+
+let g fd =
+  let oc = Unix.out_channel_of_descr fd in
+  close_out oc
+|}
+    = []);
+  let server =
+    In_channel.with_open_text "../lib/serve_net/server.ml" In_channel.input_all
+  in
+  check "the session server closes each descriptor once" true
+    (List.for_all
+       (fun d -> d.Diagnostic.code <> Diagnostic.code_descriptor_owner)
+       (scan "lib/serve_net/server.ml" server))
+
 (* ---- Calib_lint ------------------------------------------------------ *)
 
 let tenerife = Topologies.ibm_q5_tenerife
@@ -1072,6 +1129,8 @@ let () =
           Alcotest.test_case "unguarded state" `Quick test_rule_unguarded_state;
           Alcotest.test_case "lock shape" `Quick test_rule_lock_shape;
           Alcotest.test_case "lock order" `Quick test_rule_lock_order;
+          Alcotest.test_case "descriptor owner" `Quick
+            test_rule_descriptor_owner;
         ] );
       ( "calib",
         [

@@ -1,11 +1,10 @@
 (* Unit and property tests for the graph substrate: priority queue,
-   weighted graphs, shortest paths, k-core, generic A*. *)
+   weighted graphs, shortest paths, k-core. *)
 
 module Graph = Vqc_graph.Graph
 module Paths = Vqc_graph.Paths
 module Pqueue = Vqc_graph.Pqueue
 module Kcore = Vqc_graph.Kcore
-module Astar = Vqc_graph.Astar
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -485,57 +484,58 @@ let test_grow_subgraph () =
   check "too small component" true
     (Kcore.grow_subgraph disconnected ~size:3 ~seed:0 = None)
 
-(* ---- Astar --------------------------------------------------------- *)
-
-(* Sliding puzzle on a line: move a token from 0 to [goal] paying 1 per
-   step; heuristic is exact distance. *)
-let line_problem goal =
-  {
-    Astar.start = 0;
-    is_goal = (fun s -> s = goal);
-    successors = (fun s -> [ (s + 1, 1.0); (s - 1, 1.0) ]);
-    heuristic = (fun s -> float_of_int (abs (goal - s)));
-    key = string_of_int;
-  }
-
-let test_astar_line () =
-  match Astar.search (line_problem 7) with
-  | Some outcome ->
-    check_float "cost" 7.0 outcome.Astar.cost;
-    check_int "goal" 7 outcome.Astar.goal
-  | None -> Alcotest.fail "no solution"
-
-let test_astar_path_reconstruction () =
-  match Astar.search_path (line_problem 3) with
-  | Some (states, cost, _) ->
-    Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ] states;
-    check_float "cost" 3.0 cost
-  | None -> Alcotest.fail "no solution"
-
-let test_astar_expansion_cap () =
-  check "cap exhausts" true (Astar.search ~max_expansions:3 (line_problem 50) = None)
-
-let test_astar_prefers_cheap_route () =
-  (* two routes to goal: direct expensive edge vs two cheap edges *)
-  let problem =
-    {
-      Astar.start = "s";
-      is_goal = (fun s -> s = "g");
-      successors =
-        (fun s ->
-          match s with
-          | "s" -> [ ("g", 10.0); ("m", 1.0) ]
-          | "m" -> [ ("g", 1.0) ]
-          | _ -> []);
-      heuristic = (fun _ -> 0.0);
-      key = Fun.id;
-    }
+(* Flat-array growth vs. the list-based reference (Kcore_oracle): the
+   same node lists — tie-breaks included — for every size and seed. *)
+let growth_matches_oracle g =
+  let n = Graph.node_count g in
+  let strongest grow =
+    match grow () with nodes -> Some nodes | exception Invalid_argument _ -> None
   in
-  match Astar.search_path problem with
-  | Some (states, cost, _) ->
-    Alcotest.(check (list string)) "via m" [ "s"; "m"; "g" ] states;
-    check_float "cost 2" 2.0 cost
-  | None -> Alcotest.fail "no solution"
+  List.for_all
+    (fun size ->
+      strongest (fun () -> Kcore.strongest_subgraph g ~size)
+      = strongest (fun () -> Kcore_oracle.strongest_subgraph g ~size)
+      && List.for_all
+           (fun seed ->
+             Kcore.grow_subgraph g ~size ~seed
+             = Kcore_oracle.grow_subgraph g ~size ~seed)
+           (List.init n Fun.id))
+    (List.init (min 20 n) (fun i -> i + 1))
+
+(* Integer weights in {1, 2, 3} make equal gains and strengths common,
+   so the scan-order tie-breaks are exercised. *)
+let tied_connected_graph =
+  QCheck2.Gen.(
+    let* n = int_range 2 20 in
+    let* extra =
+      list_size (int_bound (2 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    in
+    let* parents = list_repeat (n - 1) nat in
+    let tree = List.mapi (fun i p -> (p mod (i + 1), i + 1)) parents in
+    let pairs = tree @ List.filter (fun (u, v) -> u <> v) extra in
+    let* weights = list_repeat (List.length pairs) (int_range 1 3) in
+    return
+      (Graph.of_edges n
+         (List.map2
+            (fun (u, v) w -> (min u v, max u v, float_of_int w))
+            pairs weights)))
+
+let prop_growth_matches_oracle =
+  QCheck2.Test.make ~name:"flat growth matches the reference on tied weights"
+    ~count:200 ~print:(Fmt.to_to_string Graph.pp) tied_connected_graph
+    growth_matches_oracle
+
+let test_growth_matches_oracle_on_history () =
+  let coupling = Vqc_device.Topologies.ibm_q20_tokyo in
+  let history = Vqc_device.History.generate ~days:52 ~seed:2 ~coupling 20 in
+  List.iteri
+    (fun day calibration ->
+      let device = Vqc_device.Device.make ~name:"Q20" ~coupling calibration in
+      check
+        (Printf.sprintf "day %d success graph" day)
+        true
+        (growth_matches_oracle (Vqc_device.Device.success_graph device)))
+    (Vqc_device.History.all history)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -590,15 +590,9 @@ let () =
           Alcotest.test_case "strongest side" `Quick
             test_strongest_subgraph_picks_strong_side;
           Alcotest.test_case "grow subgraph" `Quick test_grow_subgraph;
+          Alcotest.test_case "history growth matches the reference" `Slow
+            test_growth_matches_oracle_on_history;
         ]
-        @ qcheck [ test_strongest_subgraph_connected ] );
-      ( "astar",
-        [
-          Alcotest.test_case "line search" `Quick test_astar_line;
-          Alcotest.test_case "path reconstruction" `Quick
-            test_astar_path_reconstruction;
-          Alcotest.test_case "expansion cap" `Quick test_astar_expansion_cap;
-          Alcotest.test_case "prefers cheap route" `Quick
-            test_astar_prefers_cheap_route;
-        ] );
+        @ qcheck [ test_strongest_subgraph_connected; prop_growth_matches_oracle ]
+      );
     ]

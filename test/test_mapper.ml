@@ -54,22 +54,27 @@ let test_layout_swap () =
   (* original untouched *)
   check_int "functional" 0 (Layout.physical_of_program l 0)
 
+(* [diff_swap] and [layout_key] belong to the reference layer search
+   (Layer_oracle), which recovers SWAP paths and dedupes states with them. *)
 let test_layout_diff_swap () =
   let l = Layout.identity ~programs:3 ~physicals:4 in
   let moved = Layout.swap_physical l 1 2 in
   Alcotest.(check (option (pair int int))) "detects the swap" (Some (1, 2))
-    (Layout.diff_swap l moved);
-  Alcotest.(check (option (pair int int))) "no diff" None (Layout.diff_swap l l);
+    (Layer_oracle.diff_swap l moved);
+  Alcotest.(check (option (pair int int)))
+    "no diff" None
+    (Layer_oracle.diff_swap l l);
   let double = Layout.swap_physical (Layout.swap_physical l 0 1) 2 3 in
   Alcotest.(check (option (pair int int))) "two swaps is not one" None
-    (Layout.diff_swap l double)
+    (Layer_oracle.diff_swap l double)
 
 let test_layout_key_distinguishes () =
   let a = Layout.identity ~programs:2 ~physicals:3 in
   let b = Layout.swap_physical a 0 1 in
-  check "different keys" true (Layout.key a <> Layout.key b);
+  let key = Layer_oracle.layout_key in
+  check "different keys" true (key a <> key b);
   check "equal layouts equal keys" true
-    (Layout.key a = Layout.key (Layout.identity ~programs:2 ~physicals:3))
+    (key a = key (Layout.identity ~programs:2 ~physicals:3))
 
 (* ---- Cost ---------------------------------------------------------- *)
 

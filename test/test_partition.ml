@@ -128,6 +128,69 @@ let test_two_copies_win_on_uniform_machine () =
   let cmp = Partition.compare_strategies device program in
   check "two copies win" true (cmp.Partition.stpt_two > cmp.Partition.stpt_single)
 
+(* Partition.two_copy_candidates as it reads, growing with the reference
+   Kcore_oracle: the flat-array growth must yield the same candidate
+   lists, in the same order. *)
+let reference_two_copy_candidates device ~size =
+  let module Graph = Vqc_graph.Graph in
+  let success = Device.success_graph device in
+  let n = Graph.node_count success in
+  let seen = Hashtbl.create 16 in
+  let candidates = ref [] in
+  for seed = 0 to n - 1 do
+    match Kcore_oracle.grow_subgraph success ~size ~seed with
+    | None -> ()
+    | Some region_x ->
+      let blocked = Array.make n false in
+      List.iter (fun q -> blocked.(q) <- true) region_x;
+      let complement = Graph.copy success in
+      Graph.iter_edges
+        (fun u v _ ->
+          if blocked.(u) || blocked.(v) then Graph.remove_edge complement u v)
+        success;
+      let best_y = ref None in
+      for seed_y = 0 to n - 1 do
+        if not blocked.(seed_y) then
+          match Kcore_oracle.grow_subgraph complement ~size ~seed:seed_y with
+          | None -> ()
+          | Some region_y ->
+            if List.for_all (fun q -> not blocked.(q)) region_y then begin
+              let strength = Kcore_oracle.internal_strength success region_y in
+              match !best_y with
+              | Some (s, _) when s >= strength -> ()
+              | _ -> best_y := Some (strength, region_y)
+            end
+      done;
+      (match !best_y with
+      | None -> ()
+      | Some (_, region_y) ->
+        let key =
+          if region_x <= region_y then (region_x, region_y)
+          else (region_y, region_x)
+        in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.replace seen key ();
+          candidates := (region_x, region_y) :: !candidates
+        end)
+  done;
+  List.rev !candidates
+
+let test_candidates_match_reference_growth () =
+  let coupling = Topologies.ibm_q20_tokyo in
+  let history = Vqc_device.History.generate ~days:52 ~seed:2 ~coupling 20 in
+  List.iteri
+    (fun day calibration ->
+      let device = Device.make ~name:"Q20" ~coupling calibration in
+      List.iter
+        (fun size ->
+          check
+            (Printf.sprintf "day %d size %d" day size)
+            true
+            (Partition.two_copy_candidates device ~size
+            = reference_two_copy_candidates device ~size))
+        [ 3; 5; 8; 10 ])
+    (Vqc_device.History.all history)
+
 let () =
   Alcotest.run "vqc_partition"
     [
@@ -137,6 +200,8 @@ let () =
             test_two_copy_candidates_are_disjoint_and_sized;
           Alcotest.test_case "impossible size" `Quick
             test_two_copy_candidates_impossible_size;
+          Alcotest.test_case "growth matches the reference" `Slow
+            test_candidates_match_reference_growth;
         ] );
       ( "evaluation",
         [
