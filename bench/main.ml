@@ -1,53 +1,18 @@
 (* Benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (the same rows/series the paper reports; see EXPERIMENTS.md for the
-   paper-vs-measured comparison).  Part 2 times the compiler policies and
-   the simulation engines with Bechamel.
+   With no mode it regenerates every table and figure of the paper's
+   evaluation (the same rows/series the paper reports; see EXPERIMENTS.md
+   for the paper-vs-measured comparison), then times the compiler
+   policies and the simulation engines with Bechamel.  Four modes each
+   measure one subsystem and write a JSON artifact: estimator, kernels,
+   drift and serve-load.
 
-   Run with: dune exec bench/main.exe
-   To skip the timing section: dune exec bench/main.exe -- --no-perf
-
-   A separate mode measures what adaptive estimation saves over the
-   paper's fixed-trial discipline and records it as a JSON artifact:
-     dune exec bench/main.exe -- estimator \
-       [--precision 1e-3] [--max-trials 1000000] [--jobs N] \
-       [--out BENCH_estimator.json]
-   It exits non-zero if adaptive mode ever needs more trials than fixed
-   mode — the estimator's cost ceiling is part of its contract.
-
-   Two more modes target the hot kernels themselves:
-     dune exec bench/main.exe -- compile [--reference] [--repeat N]
-   times the full Table-1 catalog x policy matrix (plans/s), and
-     dune exec bench/main.exe -- kernels [--trials N] \
-       [--out BENCH_kernels.json] [--check bench/BASELINE_kernels.json]
-   measures the optimized paths against the retained reference paths
-   (memoized routing vs memo-free, flat Monte-Carlo kernel vs the
-   list-based oracle) and records the in-run speedup ratios.  With
-   --check it exits 1 when any measured speedup falls below 90% of the
-   committed baseline floor — ratios, not absolutes, so the gate holds
-   across machines of different speeds — and 2 when the baseline file
-   cannot be read or is not valid JSON.
-
-   The drift mode replays the calibration history through the Vqc_drift
-   retention pipeline over the full catalog x policy matrix:
-     dune exec bench/main.exe -- drift [--days N] [--threshold LOSS] \
-       [--jobs N] [--out BENCH_drift.json]
-   and records per-day retained fraction, the PST given up by retaining
-   instead of recompiling, and the recompile wall time saved (timing
-   under "nd"; everything else byte-identical for a fixed
-   history/threshold/jobs).
-
-   The serve-load mode measures the TCP front end under concurrency:
-     dune exec bench/main.exe -- serve-load [--clients 1,8,64] \
-       [--requests-per-client N] [--jobs N] [--shards N] \
-       [--out BENCH_serve.json] [--check-scaling]
-   For each client count it starts an in-process Vqc_serve_net server,
-   replays pipelined NDJSON streams from that many concurrent clients,
-   and records p50/p99 latency, requests/s and cache hit rates (all
-   run-varying, so under "nd").  With --check-scaling it exits 1 when
-   the highest client count does not out-serve the lowest — the shared
-   pool and compile store must buy throughput, not just survive. *)
+   Run with: dune exec bench/main.exe [-- --no-perf]
+   Modes, flags, defaults and gates: dune exec bench/main.exe -- --help
+   (or -- MODE --help).  A mode exits 1 when its gate fails, 2 on a
+   semantic error (unreadable or malformed baseline, --days out of
+   range, invalid estimator configuration) and 124 on a flag-syntax
+   error. *)
 
 module Registry = Vqc_experiments.Registry
 module Context = Vqc_experiments.Context
@@ -63,11 +28,6 @@ module Service = Vqc_service.Service
 module Epoch = Vqc_service.Epoch
 module Protocol = Vqc_service.Protocol
 module Policies = Vqc_service.Policies
-
-let regenerate_artifacts () =
-  let ctx = Context.default in
-  Registry.run_all Format.std_formatter ctx;
-  Format.pp_print_flush Format.std_formatter ()
 
 (* ---- Bechamel timing ------------------------------------------------ *)
 
@@ -221,6 +181,17 @@ module Estimator = Vqc_sim.Estimator
 module Json = Vqc_obs.Json
 module Json_io = Vqc_service.Json_io
 
+let wall_clock f =
+  let started = Unix.gettimeofday () in
+  let result = f () in
+  (result, Unix.gettimeofday () -. started)
+
+let write_artifact out json =
+  Out_channel.with_open_text out (fun channel ->
+      Out_channel.output_string channel (Json.to_string json);
+      Out_channel.output_char channel '\n');
+  Printf.printf "wrote %s\n%!" out
+
 type estimator_row = {
   workload : string;
   fixed_pst : float;
@@ -241,20 +212,15 @@ let estimator_row ctx ~config ~jobs (entry : Catalog.entry) =
   let device = ctx.Context.q20 in
   let compiled = Compiler.compile device Compiler.vqa_vqm entry.Catalog.circuit in
   let physical = compiled.Compiler.physical in
-  let timed f =
-    let start = Unix.gettimeofday () in
-    let result = f () in
-    (result, Unix.gettimeofday () -. start)
-  in
   (* same seed on both sides: the adaptive run walks a prefix of the
      fixed run's chunk stream, so the comparison is trial-for-trial *)
   let fixed, fixed_seconds =
-    timed (fun () ->
+    wall_clock (fun () ->
         Monte_carlo.run ~jobs ~trials:config.Estimator.max_trials
           (Rng.make 1) device physical)
   in
   let adaptive, adaptive_seconds =
-    timed (fun () ->
+    wall_clock (fun () ->
         Monte_carlo.run_adaptive ~jobs ~config (Rng.make 1) device physical)
   in
   {
@@ -304,122 +270,59 @@ let estimator_json ~config rows =
       );
     ]
 
-let run_estimator_bench args =
-  let precision = ref 1e-3 in
-  let max_trials = ref 1_000_000 in
-  let jobs = ref 1 in
-  let out = ref "BENCH_estimator.json" in
-  let usage =
-    "usage: bench estimator [--precision P] [--max-trials N] [--jobs N] \
-     [--out FILE]"
+let run_estimator_bench precision max_trials jobs out =
+  let config =
+    { Estimator.default_config with Estimator.precision; max_trials }
   in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--precision" :: v :: rest -> begin
-      match float_of_string_opt v with
-      | Some f ->
-        precision := f;
-        parse rest
-      | None -> Error (Printf.sprintf "--precision: bad float %S" v)
-    end
-    | "--max-trials" :: v :: rest -> begin
-      match int_of_string_opt v with
-      | Some n ->
-        max_trials := n;
-        parse rest
-      | None -> Error (Printf.sprintf "--max-trials: bad integer %S" v)
-    end
-    | "--jobs" :: v :: rest -> begin
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        jobs := n;
-        parse rest
-      | _ -> Error (Printf.sprintf "--jobs: bad worker count %S" v)
-    end
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | other :: _ -> Error (Printf.sprintf "unknown argument %S\n%s" other usage)
-  in
-  match parse args with
+  match Estimator.validate_config config with
   | Error message ->
     prerr_endline ("bench estimator: " ^ message);
     2
-  | Ok () -> begin
-    let config =
-      {
-        Estimator.default_config with
-        Estimator.precision = !precision;
-        max_trials = !max_trials;
-      }
-    in
-    match Estimator.validate_config config with
-    | Error message ->
-      prerr_endline ("bench estimator: " ^ message);
-      2
-    | Ok config ->
-      let ctx = Context.default in
-      Printf.printf
-        "Estimator bench: fixed %d trials vs adaptive (precision %g at \
-         %g%%), VQA+VQM on Q20\n\n"
-        config.Estimator.max_trials config.Estimator.precision
-        (100.0 *. config.Estimator.confidence);
-      let rows =
-        List.map (estimator_row ctx ~config ~jobs:!jobs) Catalog.table1
-      in
-      List.iter
+  | Ok config ->
+    let ctx = Context.default in
+    Printf.printf
+      "Estimator bench: fixed %d trials vs adaptive (precision %g at %g%%), \
+       VQA+VQM on Q20\n\n"
+      config.Estimator.max_trials config.Estimator.precision
+      (100.0 *. config.Estimator.confidence);
+    let rows = List.map (estimator_row ctx ~config ~jobs) Catalog.table1 in
+    List.iter
+      (fun row ->
+        let e = row.adaptive in
+        Printf.printf
+          "%-8s fixed %.4f (%d trials, %.2fs)  adaptive %.4f +/- %.1e (%d \
+           trials, %.2fs)  %5.1fx fewer trials [%s]\n"
+          row.workload row.fixed_pst e.Estimator.budget row.fixed_seconds
+          e.Estimator.mean (Estimator.half_width e) e.Estimator.trials
+          row.adaptive_seconds (trials_speedup row)
+          (Estimator.stop_reason_to_string e.Estimator.stop))
+      rows;
+    let median_speedup = median (List.map trials_speedup rows) in
+    Printf.printf "\nmedian trials-to-target reduction: %.1fx\n" median_speedup;
+    write_artifact out (estimator_json ~config rows);
+    (* contract: adaptivity never costs trials — it stops at or before
+       the budget the fixed path always spends *)
+    let regressions =
+      List.filter
         (fun row ->
-          let e = row.adaptive in
-          Printf.printf
-            "%-8s fixed %.4f (%d trials, %.2fs)  adaptive %.4f +/- %.1e \
-             (%d trials, %.2fs)  %5.1fx fewer trials [%s]\n"
-            row.workload row.fixed_pst e.Estimator.budget row.fixed_seconds
-            e.Estimator.mean
-            (Estimator.half_width e)
-            e.Estimator.trials row.adaptive_seconds (trials_speedup row)
-            (Estimator.stop_reason_to_string e.Estimator.stop))
-        rows;
-      let median_speedup = median (List.map trials_speedup rows) in
-      Printf.printf "\nmedian trials-to-target reduction: %.1fx\n"
-        median_speedup;
-      Out_channel.with_open_text !out (fun channel ->
-          Out_channel.output_string channel
-            (Json.to_string (estimator_json ~config rows));
-          Out_channel.output_char channel '\n');
-      Printf.printf "wrote %s\n" !out;
-      (* contract: adaptivity never costs trials — it stops at or before
-         the budget the fixed path always spends *)
-      let regressions =
-        List.filter
-          (fun row ->
-            row.adaptive.Estimator.trials > row.adaptive.Estimator.budget)
-          rows
-      in
-      if regressions <> [] then begin
-        List.iter
-          (fun row ->
-            Printf.eprintf
-              "bench estimator: REGRESSION %s: adaptive used %d trials > \
-               fixed %d\n"
-              row.workload row.adaptive.Estimator.trials
-              row.adaptive.Estimator.budget)
-          regressions;
-        1
-      end
-      else 0
-  end
+          row.adaptive.Estimator.trials > row.adaptive.Estimator.budget)
+        rows
+    in
+    List.iter
+      (fun row ->
+        Printf.eprintf
+          "bench estimator: REGRESSION %s: adaptive used %d trials > fixed %d\n"
+          row.workload row.adaptive.Estimator.trials
+          row.adaptive.Estimator.budget)
+      regressions;
+    if regressions <> [] then 1 else 0
 
 (* ---- Hot-path kernels: compile and simulate throughput ------------- *)
-
-let wall_clock f =
-  let started = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. started)
 
 let matrix_policies () = List.map (fun e -> e.Policies.policy) Policies.all
 
 (* One full pass over the Table-1 catalog under every service policy —
-   the workload `bench compile` and `bench kernels` both time.  [memo]
+   the workload `bench kernels` times.  [memo]
    selects the optimized pipeline (layer memo + pruned SABRE + cached
    cost models) or the retained reference pipeline; both emit
    byte-identical plans (test/test_mapper_equiv.ml holds them to it). *)
@@ -431,46 +334,6 @@ let compile_matrix ~memo device policies =
           ignore (Compiler.compile ~memo device policy entry.Catalog.circuit))
         policies)
     Catalog.table1
-
-let run_compile_bench args =
-  let reference = ref false in
-  let repeat = ref 1 in
-  let usage = "usage: bench compile [--reference] [--repeat N]" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--reference" :: rest ->
-      reference := true;
-      parse rest
-    | "--repeat" :: v :: rest -> begin
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        repeat := n;
-        parse rest
-      | _ -> Error (Printf.sprintf "--repeat: bad count %S" v)
-    end
-    | other :: _ -> Error (Printf.sprintf "unknown argument %S\n%s" other usage)
-  in
-  match parse args with
-  | Error message ->
-    prerr_endline ("bench compile: " ^ message);
-    2
-  | Ok () ->
-    let ctx = Context.default in
-    let device = ctx.Context.q20 in
-    let policies = matrix_policies () in
-    let plans = List.length Catalog.table1 * List.length policies in
-    let memo = not !reference in
-    Router.memo_clear ();
-    for pass = 1 to !repeat do
-      let (), seconds = wall_clock (fun () -> compile_matrix ~memo device policies) in
-      Printf.printf
-        "compile pass %d/%d (%s): %d plans in %.2fs  (%.2f plans/s)\n%!" pass
-        !repeat
-        (if memo then "optimized" else "reference")
-        plans seconds
-        (float_of_int plans /. seconds)
-    done;
-    0
 
 (* Repeat a deterministic run until at least [min_seconds] of wall time
    has accumulated, so fast configurations are not timed off a single
@@ -494,78 +357,54 @@ type mc_row = {
   trials_per_s : float;
 }
 
+(* Read before measuring, so a missing or malformed baseline fails at
+   once rather than after the whole measurement. *)
+let read_baseline = function
+  | None -> Ok None
+  | Some file -> (
+    match In_channel.with_open_text file In_channel.input_all with
+    | exception Sys_error message ->
+      Error (Printf.sprintf "cannot read baseline %s: %s" file message)
+    | text -> (
+      match Json_io.parse text with
+      | Ok baseline -> Ok (Some (file, baseline))
+      | Error message ->
+        Error (Printf.sprintf "malformed baseline %s: %s" file message)))
+
 (* The >10% regression rule: a measured speedup may drift with machine
    load, but dropping below 90% of the committed floor means the
    optimized path lost real ground on the reference path running in the
    same process on the same hardware. *)
-let check_against_baseline ~file measured =
-  let baseline =
-    match In_channel.with_open_text file In_channel.input_all with
-    | exception Sys_error message ->
-      Error (Printf.sprintf "cannot read baseline %s: %s" file message)
-    | text ->
-      Result.map_error
-        (Printf.sprintf "malformed baseline %s: %s" file)
-        (Json_io.parse text)
+let check_against_baseline ~file baseline measured =
+  let failures =
+    List.filter_map
+      (fun (key, value) ->
+        match Option.bind (Json_io.member key baseline) Json_io.float_value with
+        | None -> Some (Printf.sprintf "baseline %s lacks a %S number" file key)
+        | Some floor ->
+          if value < floor *. 0.9 then
+            Some
+              (Printf.sprintf
+                 "%s regressed: measured %.2fx < 90%% of committed floor %.2fx"
+                 key value floor)
+          else None)
+      measured
   in
-  match baseline with
+  if failures = [] then begin
+    Printf.printf "baseline check against %s: ok\n" file;
+    0
+  end
+  else begin
+    List.iter (Printf.eprintf "bench kernels: REGRESSION %s\n") failures;
+    1
+  end
+
+let run_kernels_bench trials out check =
+  match read_baseline check with
   | Error message ->
     Printf.eprintf "bench kernels: %s\n" message;
-    Some 2
-  | Ok baseline ->
-    let failures =
-      List.filter_map
-        (fun (key, value) ->
-          match
-            Option.bind (Json_io.member key baseline) Json_io.float_value
-          with
-          | None ->
-            Some (Printf.sprintf "baseline %s lacks a %S number" file key)
-          | Some floor ->
-            if value < floor *. 0.9 then
-              Some
-                (Printf.sprintf
-                   "%s regressed: measured %.2fx < 90%% of committed floor \
-                    %.2fx"
-                   key value floor)
-            else None)
-        measured
-    in
-    if failures = [] then None
-    else begin
-      List.iter (Printf.eprintf "bench kernels: REGRESSION %s\n") failures;
-      Some 1
-    end
-
-let run_kernels_bench args =
-  let trials = ref 400_000 in
-  let out = ref "BENCH_kernels.json" in
-  let check = ref None in
-  let usage =
-    "usage: bench kernels [--trials N] [--out FILE] [--check BASELINE]"
-  in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--trials" :: v :: rest -> begin
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        trials := n;
-        parse rest
-      | _ -> Error (Printf.sprintf "--trials: bad count %S" v)
-    end
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | "--check" :: v :: rest ->
-      check := Some v;
-      parse rest
-    | other :: _ -> Error (Printf.sprintf "unknown argument %S\n%s" other usage)
-  in
-  match parse args with
-  | Error message ->
-    prerr_endline ("bench kernels: " ^ message);
     2
-  | Ok () ->
+  | Ok baseline ->
     let ctx = Context.default in
     let device = ctx.Context.q20 in
     let policies = matrix_policies () in
@@ -601,26 +440,21 @@ let run_kernels_bench args =
     let compiled = Compiler.compile device Compiler.vqa_vqm circuit in
     let physical = compiled.Compiler.physical in
     let measure ~engine ~jobs =
-      sustained_rate ~units:!trials ~min_seconds:0.5 (fun () ->
+      sustained_rate ~units:trials ~min_seconds:0.5 (fun () ->
           ignore
-            (Monte_carlo.run ~engine ~jobs ~trials:!trials (Rng.make 1) device
+            (Monte_carlo.run ~engine ~jobs ~trials (Rng.make 1) device
                physical))
     in
     let mc_rows =
       List.concat_map
-        (fun jobs ->
-          [
-            {
-              mc_engine = "flat";
-              mc_jobs = jobs;
-              trials_per_s = measure ~engine:Monte_carlo.Flat ~jobs;
-            };
-            {
-              mc_engine = "reference";
-              mc_jobs = jobs;
-              trials_per_s = measure ~engine:Monte_carlo.Reference ~jobs;
-            };
-          ])
+        (fun mc_jobs ->
+          List.map
+            (fun (mc_engine, engine) ->
+              let trials_per_s = measure ~engine ~jobs:mc_jobs in
+              { mc_engine; mc_jobs; trials_per_s })
+            [
+              ("flat", Monte_carlo.Flat); ("reference", Monte_carlo.Reference);
+            ])
         [ 1; 4 ]
     in
     let rate ~engine ~jobs =
@@ -657,7 +491,7 @@ let run_kernels_bench args =
             Json.Obj
               [
                 ("workload", Json.String "bv-16");
-                ("trials", Json.Int !trials);
+                ("trials", Json.Int trials);
                 ( "rows",
                   Json.List
                     (List.map
@@ -674,25 +508,16 @@ let run_kernels_bench args =
               ] );
         ]
     in
-    Out_channel.with_open_text !out (fun channel ->
-        Out_channel.output_string channel (Json.to_string json);
-        Out_channel.output_char channel '\n');
-    Printf.printf "wrote %s\n%!" !out;
-    (match !check with
+    write_artifact out json;
+    match baseline with
     | None -> 0
-    | Some file -> (
-      match
-        check_against_baseline ~file
-          [
-            ("compile_cold_speedup", cold_speedup);
-            ("compile_warm_speedup", warm_speedup);
-            ("mc_flat_speedup", mc_speedup 1);
-          ]
-      with
-      | None ->
-        Printf.printf "baseline check against %s: ok\n" file;
-        0
-      | Some code -> code))
+    | Some (file, baseline) ->
+      check_against_baseline ~file baseline
+        [
+          ("compile_cold_speedup", cold_speedup);
+          ("compile_warm_speedup", warm_speedup);
+          ("mc_flat_speedup", mc_speedup 1);
+        ]
 
 (* ---- Calibration drift: selective retention over the history ------- *)
 
@@ -721,6 +546,10 @@ type drift_day = {
   dd_saved_seconds : float;  (** nd: wall time retention avoided *)
 }
 
+let mean = function
+  | [] -> 0.
+  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+
 let drift_compile ~jobs device entries =
   let tasks =
     List.map
@@ -748,225 +577,174 @@ let drift_compile ~jobs device entries =
       entries outcomes,
     seconds )
 
-let run_drift_bench args =
-  let days = ref 52 in
-  let threshold = ref Retention.default.Retention.threshold in
-  let jobs = ref 1 in
-  let out = ref "BENCH_drift.json" in
-  let usage =
-    "usage: bench drift [--days N] [--threshold LOSS] [--jobs N] [--out FILE]"
-  in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--days" :: v :: rest -> begin
-      match int_of_string_opt v with
-      | Some n when n >= 2 ->
-        days := n;
-        parse rest
-      | _ -> Error (Printf.sprintf "--days: need an integer >= 2, got %S" v)
-    end
-    | "--threshold" :: v :: rest -> begin
-      match float_of_string_opt v with
-      | Some f ->
-        threshold := f;
-        parse rest
-      | None -> Error (Printf.sprintf "--threshold: bad float %S" v)
-    end
-    | "--jobs" :: v :: rest -> begin
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        jobs := n;
-        parse rest
-      | _ -> Error (Printf.sprintf "--jobs: bad worker count %S" v)
-    end
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | other :: _ -> Error (Printf.sprintf "unknown argument %S\n%s" other usage)
-  in
-  match parse args with
-  | Error message ->
-    prerr_endline ("bench drift: " ^ message);
+let run_drift_bench days threshold jobs out =
+  let ctx = Context.default in
+  let history_days = History.days ctx.Context.history in
+  if days < 2 then begin
+    Printf.eprintf "bench drift: --days: need an integer >= 2, got %d\n" days;
     2
-  | Ok () ->
-    let ctx = Context.default in
-    let history_days = History.days ctx.Context.history in
-    if !days > history_days then begin
-      Printf.eprintf "bench drift: --days %d exceeds the %d-day history\n"
-        !days history_days;
-      2
-    end
-    else begin
-      let policy = { Retention.threshold = !threshold } in
-      let device_on day =
-        Device.with_calibration ctx.Context.q20 (History.day ctx.Context.history day)
+  end
+  else if days > history_days then begin
+    Printf.eprintf "bench drift: --days %d exceeds the %d-day history\n"
+      days history_days;
+    2
+  end
+  else begin
+    let policy = { Retention.threshold } in
+    let device_on day =
+      Device.with_calibration ctx.Context.q20 (History.day ctx.Context.history day)
+    in
+    let matrix =
+      List.concat_map
+        (fun (entry : Catalog.entry) ->
+          List.map (fun p -> (entry.Catalog.name, p)) Policies.all)
+        Catalog.all
+    in
+    let total = List.length matrix in
+    Printf.printf
+      "Drift bench: %d plans (catalog x policies), %d days, threshold %g, \
+       jobs %d\n\n%!"
+      total days threshold jobs;
+    let seeded, _ = drift_compile ~jobs (device_on 0) matrix in
+    let cache =
+      ref
+        (List.map
+           (fun (w, p, plan) ->
+             { de_workload = w; de_policy = p; de_compile_day = 0; de_plan = plan })
+           seeded)
+    in
+    let rows = ref [] in
+    for day = 1 to days - 1 do
+      let after = device_on day in
+      let keep entry =
+        let physical = entry.de_plan.Compiler.physical in
+        if Retention.wholesale policy then false
+        else begin
+          let score =
+            Staleness.score ~before:(device_on entry.de_compile_day)
+              ~after physical
+          in
+          match Retention.decide policy score with
+          | Retention.Recompile -> false
+          | Retention.Retain ->
+            not
+              (Vqc_diag.Diagnostic.has_errors
+                 (Retention.reverify ~device:after
+                    ~source:(Catalog.find entry.de_workload).Catalog.circuit
+                    ~physical
+                    ~initial:(Layout.assignment entry.de_plan.Compiler.initial)
+                    ~final:(Layout.assignment entry.de_plan.Compiler.final)
+                    ~swaps:
+                      entry.de_plan.Compiler.stats.Router.swaps_inserted))
+        end
       in
-      let matrix =
-        List.concat_map
-          (fun (entry : Catalog.entry) ->
-            List.map (fun p -> (entry.Catalog.name, p)) Policies.all)
-          Catalog.all
+      let retained, demoted = List.partition keep !cache in
+      let key e = (e.de_workload, e.de_policy) in
+      let fresh_demoted, recompile_seconds =
+        drift_compile ~jobs after (List.map key demoted)
       in
-      let total = List.length matrix in
-      Printf.printf
-        "Drift bench: %d plans (catalog x policies), %d days, threshold %g, \
-         jobs %d\n\n%!"
-        total !days !threshold !jobs;
-      let seeded, _ = drift_compile ~jobs:!jobs (device_on 0) matrix in
-      let cache =
-        ref
-          (List.map
-             (fun (w, p, plan) ->
-               { de_workload = w; de_policy = p; de_compile_day = 0; de_plan = plan })
-             seeded)
+      (* price what retention kept: compile the retained plans fresh
+         too (time we would have spent; PST we might have gained) *)
+      let fresh_retained, saved_seconds =
+        drift_compile ~jobs after (List.map key retained)
       in
-      let rows = ref [] in
-      for day = 1 to !days - 1 do
-        let after = device_on day in
-        let verdicts =
-          List.map
-            (fun entry ->
-              let physical = entry.de_plan.Compiler.physical in
-              let retain =
-                if Retention.wholesale policy then false
-                else begin
-                  let score =
-                    Staleness.score ~before:(device_on entry.de_compile_day)
-                      ~after physical
-                  in
-                  match Retention.decide policy score with
-                  | Retention.Recompile -> false
-                  | Retention.Retain ->
-                    not
-                      (Vqc_diag.Diagnostic.has_errors
-                         (Retention.reverify ~device:after
-                            ~source:(Catalog.find entry.de_workload).Catalog.circuit
-                            ~physical
-                            ~initial:(Layout.assignment entry.de_plan.Compiler.initial)
-                            ~final:(Layout.assignment entry.de_plan.Compiler.final)
-                            ~swaps:
-                              entry.de_plan.Compiler.stats.Router.swaps_inserted))
-                end
-              in
-              (entry, retain))
-            !cache
-        in
-        let retained = List.filter_map (fun (e, r) -> if r then Some e else None) verdicts in
-        let demoted = List.filter_map (fun (e, r) -> if r then None else Some e) verdicts in
-        let key e = (e.de_workload, e.de_policy) in
-        let fresh_demoted, recompile_seconds =
-          drift_compile ~jobs:!jobs after (List.map key demoted)
-        in
-        (* price what retention kept: compile the retained plans fresh
-           too (time we would have spent; PST we might have gained) *)
-        let fresh_retained, saved_seconds =
-          drift_compile ~jobs:!jobs after (List.map key retained)
-        in
-        let losses =
-          List.map2
-            (fun entry (_, _, fresh) ->
-              1.
-              -. Reliability.pst after entry.de_plan.Compiler.physical
-                 /. Reliability.pst after fresh.Compiler.physical)
-            retained fresh_retained
-        in
-        let mean = function
-          | [] -> 0.
-          | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-        in
-        rows :=
-          {
-            dd_day = day;
-            dd_retained = List.length retained;
-            dd_recompiled = List.length demoted;
-            dd_mean_loss = mean losses;
-            dd_max_loss = List.fold_left Float.max 0. losses;
-            dd_recompile_seconds = recompile_seconds;
-            dd_saved_seconds = saved_seconds;
-          }
-          :: !rows;
-        cache :=
-          retained
-          @ List.map
-              (fun (w, p, plan) ->
-                { de_workload = w; de_policy = p; de_compile_day = day; de_plan = plan })
-              fresh_demoted
-      done;
-      let rows = List.rev !rows in
-      List.iter
-        (fun row ->
-          Printf.printf
-            "day %2d: retained %3d/%d (%.2f)  recompiled %3d  mean loss \
-             %.4f  max loss %.4f  (%.2fs spent, %.2fs saved)\n%!"
-            row.dd_day row.dd_retained total
-            (float_of_int row.dd_retained /. float_of_int total)
-            row.dd_recompiled row.dd_mean_loss row.dd_max_loss
-            row.dd_recompile_seconds row.dd_saved_seconds)
-        rows;
-      let mean f =
-        List.fold_left (fun acc row -> acc +. f row) 0. rows
-        /. float_of_int (List.length rows)
+      let losses =
+        List.map2
+          (fun entry (_, _, fresh) ->
+            1.
+            -. Reliability.pst after entry.de_plan.Compiler.physical
+               /. Reliability.pst after fresh.Compiler.physical)
+          retained fresh_retained
       in
-      let sum f = List.fold_left (fun acc row -> acc +. f row) 0. rows in
-      let mean_fraction =
-        mean (fun r -> float_of_int r.dd_retained /. float_of_int total)
-      in
-      Printf.printf
-        "\nmean retained fraction: %.3f  mean PST loss (retained): %.4f  \
-         recompile time saved: %.2fs of %.2fs\n"
-        mean_fraction
-        (mean (fun r -> r.dd_mean_loss))
-        (sum (fun r -> r.dd_saved_seconds))
-        (sum (fun r -> r.dd_saved_seconds +. r.dd_recompile_seconds));
-      let json =
-        Json.Obj
-          [
-            ("bench", Json.String "drift");
-            ("threshold", Json.Float !threshold);
-            ("days", Json.Int !days);
-            ("plans", Json.Int total);
-            ( "rows",
-              Json.List
-                (List.map
-                   (fun row ->
-                     Json.Obj
-                       [
-                         ("day", Json.Int row.dd_day);
-                         ("retained", Json.Int row.dd_retained);
-                         ("recompiled", Json.Int row.dd_recompiled);
-                         ( "retained_fraction",
-                           Json.Float
-                             (float_of_int row.dd_retained /. float_of_int total)
-                         );
-                         ("mean_pst_loss", Json.Float row.dd_mean_loss);
-                         ("max_pst_loss", Json.Float row.dd_max_loss);
-                         ( "nd",
-                           Json.Obj
-                             [
-                               ( "recompile_seconds",
-                                 Json.Float row.dd_recompile_seconds );
-                               ("saved_seconds", Json.Float row.dd_saved_seconds);
-                             ] );
-                       ])
-                   rows) );
-            ("mean_retained_fraction", Json.Float mean_fraction);
-            ("mean_pst_loss", Json.Float (mean (fun r -> r.dd_mean_loss)));
-            ( "nd",
-              Json.Obj
-                [
-                  ( "total_recompile_seconds",
-                    Json.Float (sum (fun r -> r.dd_recompile_seconds)) );
-                  ( "total_saved_seconds",
-                    Json.Float (sum (fun r -> r.dd_saved_seconds)) );
-                ] );
-          ]
-      in
-      Out_channel.with_open_text !out (fun channel ->
-          Out_channel.output_string channel (Json.to_string json);
-          Out_channel.output_char channel '\n');
-      Printf.printf "wrote %s\n%!" !out;
-      0
-    end
+      rows :=
+        {
+          dd_day = day;
+          dd_retained = List.length retained;
+          dd_recompiled = List.length demoted;
+          dd_mean_loss = mean losses;
+          dd_max_loss = List.fold_left Float.max 0. losses;
+          dd_recompile_seconds = recompile_seconds;
+          dd_saved_seconds = saved_seconds;
+        }
+        :: !rows;
+      cache :=
+        retained
+        @ List.map
+            (fun (w, p, plan) ->
+              { de_workload = w; de_policy = p; de_compile_day = day; de_plan = plan })
+            fresh_demoted
+    done;
+    let rows = List.rev !rows in
+    List.iter
+      (fun row ->
+        Printf.printf
+          "day %2d: retained %3d/%d (%.2f)  recompiled %3d  mean loss \
+           %.4f  max loss %.4f  (%.2fs spent, %.2fs saved)\n%!"
+          row.dd_day row.dd_retained total
+          (float_of_int row.dd_retained /. float_of_int total)
+          row.dd_recompiled row.dd_mean_loss row.dd_max_loss
+          row.dd_recompile_seconds row.dd_saved_seconds)
+      rows;
+    let sum f = List.fold_left (fun acc row -> acc +. f row) 0. rows in
+    let mean_fraction =
+      mean
+        (List.map
+           (fun r -> float_of_int r.dd_retained /. float_of_int total)
+           rows)
+    in
+    let mean_loss = mean (List.map (fun r -> r.dd_mean_loss) rows) in
+    Printf.printf
+      "\nmean retained fraction: %.3f  mean PST loss (retained): %.4f  \
+       recompile time saved: %.2fs of %.2fs\n"
+      mean_fraction mean_loss
+      (sum (fun r -> r.dd_saved_seconds))
+      (sum (fun r -> r.dd_saved_seconds +. r.dd_recompile_seconds));
+    let json =
+      Json.Obj
+        [
+          ("bench", Json.String "drift");
+          ("threshold", Json.Float threshold);
+          ("days", Json.Int days);
+          ("plans", Json.Int total);
+          ( "rows",
+            Json.List
+              (List.map
+                 (fun row ->
+                   Json.Obj
+                     [
+                       ("day", Json.Int row.dd_day);
+                       ("retained", Json.Int row.dd_retained);
+                       ("recompiled", Json.Int row.dd_recompiled);
+                       ( "retained_fraction",
+                         Json.Float
+                           (float_of_int row.dd_retained /. float_of_int total)
+                       );
+                       ("mean_pst_loss", Json.Float row.dd_mean_loss);
+                       ("max_pst_loss", Json.Float row.dd_max_loss);
+                       ( "nd",
+                         Json.Obj
+                           [
+                             ( "recompile_seconds",
+                               Json.Float row.dd_recompile_seconds );
+                             ("saved_seconds", Json.Float row.dd_saved_seconds);
+                           ] );
+                     ])
+                 rows) );
+          ("mean_retained_fraction", Json.Float mean_fraction);
+          ("mean_pst_loss", Json.Float mean_loss);
+          ( "nd",
+            Json.Obj
+              [
+                ( "total_recompile_seconds",
+                  Json.Float (sum (fun r -> r.dd_recompile_seconds)) );
+                ( "total_saved_seconds",
+                  Json.Float (sum (fun r -> r.dd_saved_seconds)) );
+              ] );
+        ]
+    in
+    write_artifact out json;
+    0
+  end
 
 (* ---- Serving under concurrency: bench serve-load ------------------- *)
 
@@ -1102,146 +880,236 @@ let serve_round_json round =
           ] );
     ]
 
-let run_serve_bench args =
-  let clients = ref [ 1; 8; 64 ] in
-  let requests_per_client = ref 32 in
-  let jobs = ref 4 in
-  let shards = ref 4 in
-  let out = ref "BENCH_serve.json" in
-  let check_scaling = ref false in
-  let usage =
-    "usage: bench serve-load [--clients N,N,...] [--requests-per-client N] \
-     [--jobs N] [--shards N] [--out FILE] [--check-scaling]"
+let run_serve_bench clients requests_per_client jobs shards out check_scaling =
+  Printf.printf
+    "Serve-load bench: %d requests/client over %s, jobs=%d shards=%d\n\n"
+    requests_per_client
+    (String.concat "+" (Array.to_list serve_load_workloads))
+    jobs shards;
+  let rounds =
+    List.map
+      (fun count ->
+        let round = run_serve_round ~jobs ~shards ~requests_per_client count in
+        Printf.printf
+          "%3d clients  %5d reqs  %8.1f req/s  p50 %7.2f ms  p99 %7.2f ms  L1 \
+           %4.0f%%  store %4.0f%%\n\
+           %!"
+          round.sr_clients round.sr_requests round.sr_req_per_s
+          round.sr_p50_ms round.sr_p99_ms
+          (100.0 *. round.sr_l1_hit_rate)
+          (100.0 *. round.sr_store_hit_rate);
+        round)
+      clients
   in
-  let positive flag v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (Printf.sprintf "%s: bad positive integer %S" flag v)
-  in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--clients" :: v :: rest -> begin
-      let parsed =
-        String.split_on_char ',' v
-        |> List.map (positive "--clients")
-        |> List.fold_left
-             (fun acc one ->
-               match (acc, one) with
-               | Ok ns, Ok n -> Ok (ns @ [ n ])
-               | (Error _ as e), _ -> e
-               | _, (Error _ as e) -> e)
-             (Ok [])
-      in
-      match parsed with
-      | Ok [] -> Error "--clients: empty list"
-      | Ok ns ->
-        clients := ns;
-        parse rest
-      | Error e -> Error e
-    end
-    | "--requests-per-client" :: v :: rest -> begin
-      match positive "--requests-per-client" v with
-      | Ok n ->
-        requests_per_client := n;
-        parse rest
-      | Error e -> Error e
-    end
-    | "--jobs" :: v :: rest -> begin
-      match positive "--jobs" v with
-      | Ok n ->
-        jobs := n;
-        parse rest
-      | Error e -> Error e
-    end
-    | "--shards" :: v :: rest -> begin
-      match positive "--shards" v with
-      | Ok n ->
-        shards := n;
-        parse rest
-      | Error e -> Error e
-    end
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | "--check-scaling" :: rest ->
-      check_scaling := true;
-      parse rest
-    | other :: _ -> Error (Printf.sprintf "unknown argument %S\n%s" other usage)
-  in
-  match parse args with
-  | Error message ->
-    prerr_endline ("bench serve-load: " ^ message);
-    2
-  | Ok () ->
-    Printf.printf
-      "Serve-load bench: %d requests/client over %s, jobs=%d shards=%d\n\n"
-      !requests_per_client
-      (String.concat "+" (Array.to_list serve_load_workloads))
-      !jobs !shards;
-    let rounds =
-      List.map
-        (fun count ->
-          let round =
-            run_serve_round ~jobs:!jobs ~shards:!shards
-              ~requests_per_client:!requests_per_client count
-          in
-          Printf.printf
-            "%3d clients  %5d reqs  %8.1f req/s  p50 %7.2f ms  p99 %7.2f ms  \
-             L1 %4.0f%%  store %4.0f%%\n\
-             %!"
-            round.sr_clients round.sr_requests round.sr_req_per_s
-            round.sr_p50_ms round.sr_p99_ms
-            (100.0 *. round.sr_l1_hit_rate)
-            (100.0 *. round.sr_store_hit_rate);
-          round)
-        !clients
+  let failures = List.concat_map (fun r -> r.sr_failures) rounds in
+  List.iter
+    (fun failure ->
+      Printf.eprintf "bench serve-load: client failed: %s\n" failure)
+    failures;
+  write_artifact out
+    (Json.Obj
+       [
+         ("bench", Json.String "serve-load");
+         ("jobs", Json.Int jobs);
+         ("shards", Json.Int shards);
+         ("requests_per_client", Json.Int requests_per_client);
+         ("rounds", Json.List (List.map serve_round_json rounds));
+       ]);
+  if failures <> [] then 1
+  else if not check_scaling then 0
+  else begin
+    (* the whole point of concurrent serving: more clients, more
+       served — the shared pool and store must scale, not serialize.
+       Compare by client count, whatever order --clients gave. *)
+    let by_clients =
+      List.stable_sort (fun a b -> compare a.sr_clients b.sr_clients) rounds
     in
-    let failures = List.concat_map (fun r -> r.sr_failures) rounds in
-    List.iter
-      (fun failure ->
-        Printf.eprintf "bench serve-load: client failed: %s\n" failure)
-      failures;
-    let json =
-      Json.Obj
-        [
-          ("bench", Json.String "serve-load");
-          ("jobs", Json.Int !jobs);
-          ("shards", Json.Int !shards);
-          ("requests_per_client", Json.Int !requests_per_client);
-          ("rounds", Json.List (List.map serve_round_json rounds));
-        ]
+    match (by_clients, List.rev by_clients) with
+    | fewest :: _, most :: _ when fewest.sr_clients < most.sr_clients ->
+      if most.sr_req_per_s > fewest.sr_req_per_s then 0
+      else begin
+        Printf.eprintf
+          "bench serve-load: REGRESSION: %d clients served %.1f req/s, not \
+           above the %.1f req/s of %d client(s)\n"
+          most.sr_clients most.sr_req_per_s fewest.sr_req_per_s
+          fewest.sr_clients;
+        1
+      end
+    | _ -> 0
+  end
+
+(* ---- Command line --------------------------------------------------- *)
+
+open Cmdliner
+
+let positive =
+  Arg.conv' ~docv:"N"
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s)),
+      Format.pp_print_int )
+
+let jobs_arg default =
+  let doc = "Worker domains." in
+  Arg.(value & opt positive default & info [ "jobs" ] ~docv:"N" ~doc)
+
+let out_arg default =
+  let doc = "Where to write the JSON artifact." in
+  Arg.(value & opt string default & info [ "out" ] ~docv:"FILE" ~doc)
+
+let exits =
+  Cmd.Exit.info 1 ~doc:"when the mode's gate fails (see its description)."
+  :: Cmd.Exit.info 2
+       ~doc:
+         "on a semantic error: an unreadable or malformed baseline, --days \
+          out of range, or an invalid estimator configuration."
+  :: Cmd.Exit.defaults
+
+let mode name ~doc ~description term =
+  let man = [ `S Manpage.s_description; `P description ] in
+  Cmd.v (Cmd.info name ~doc ~man ~exits) term
+
+let estimator_cmd =
+  let precision =
+    let doc = "Target half-width of the adaptive estimate." in
+    Arg.(value & opt float 1e-3 & info [ "precision" ] ~docv:"P" ~doc)
+  in
+  let max_trials =
+    let doc = "Trials of the fixed run, and the adaptive run's ceiling." in
+    Arg.(value & opt int 1_000_000 & info [ "max-trials" ] ~docv:"N" ~doc)
+  in
+  mode "estimator"
+    ~doc:"fixed vs adaptive Monte-Carlo trials-to-target"
+    ~description:
+      "Estimates the PST of every Table-1 workload compiled under VQA+VQM \
+       on Q20 twice from the same seed: with the paper's fixed trial count \
+       and adaptively to the target precision. Exits 1 if adaptive mode \
+       ever needs more trials than fixed mode: the estimator's cost \
+       ceiling is part of its contract."
+    Term.(
+      const run_estimator_bench $ precision $ max_trials $ jobs_arg 1
+      $ out_arg "BENCH_estimator.json")
+
+let kernels_cmd =
+  let trials =
+    let doc = "Monte-Carlo trials per timed run." in
+    Arg.(value & opt positive 400_000 & info [ "trials" ] ~docv:"N" ~doc)
+  in
+  let check =
+    let doc = "Gate the speedups against the floors in $(docv)." in
+    Arg.(
+      value & opt (some string) None & info [ "check" ] ~docv:"BASELINE" ~doc)
+  in
+  mode "kernels"
+    ~doc:"optimized hot paths vs the retained reference paths"
+    ~description:
+      "Compiles the Table-1 catalog under every service policy with the \
+       memo-free reference pipeline, then the optimized one with a cold \
+       and a warm memo, and times the flat Monte-Carlo kernel against the \
+       list-based oracle at 1 and 4 jobs; records the in-run speedup \
+       ratios. With --check it exits 1 when any speedup falls below 90% of \
+       the baseline's floor (ratios, not absolutes, so the gate holds \
+       across machines of different speeds) and 2, before measuring, when \
+       the baseline cannot be read or is not valid JSON."
+    Term.(
+      const run_kernels_bench $ trials $ out_arg "BENCH_kernels.json" $ check)
+
+let drift_cmd =
+  let days =
+    let doc = "Replay the first $(docv) days of the history (at least 2)." in
+    Arg.(value & opt int 52 & info [ "days" ] ~docv:"N" ~doc)
+  in
+  let threshold =
+    let doc =
+      "Retain a plan while its predicted relative PST loss is at most \
+       $(docv); 0 recompiles every plan."
     in
-    Out_channel.with_open_text !out (fun channel ->
-        Out_channel.output_string channel (Json.to_string json);
-        Out_channel.output_char channel '\n');
-    Printf.printf "wrote %s\n" !out;
-    if failures <> [] then 1
-    else if not !check_scaling then 0
-    else begin
-      (* the whole point of concurrent serving: more clients, more
-         served — the shared pool and store must scale, not serialize *)
-      match (rounds, List.rev rounds) with
-      | first :: _, last :: _ when first.sr_clients < last.sr_clients ->
-        if last.sr_req_per_s > first.sr_req_per_s then 0
-        else begin
-          Printf.eprintf
-            "bench serve-load: REGRESSION: %d clients served %.1f req/s, not \
-             above the %.1f req/s of %d client(s)\n"
-            last.sr_clients last.sr_req_per_s first.sr_req_per_s
-            first.sr_clients;
-          1
-        end
-      | _ -> 0
-    end
+    Arg.(
+      value
+      & opt float Retention.default.Retention.threshold
+      & info [ "threshold" ] ~docv:"LOSS" ~doc)
+  in
+  mode "drift"
+    ~doc:"selective plan retention over the calibration history"
+    ~description:
+      "Replays the calibration history through the Vqc_drift retention \
+       pipeline over the full catalog x policy matrix and records per-day \
+       retained fraction, the PST given up by retaining instead of \
+       recompiling, and the recompile wall time saved (timings under \
+       \"nd\"; everything else byte-identical for a fixed \
+       history/threshold/jobs). Exits 2 when --days is below 2 or beyond \
+       the history."
+    Term.(
+      const run_drift_bench $ days $ threshold $ jobs_arg 1
+      $ out_arg "BENCH_drift.json")
+
+let serve_load_cmd =
+  let clients =
+    let doc = "Client counts, one round each." in
+    let counts = Arg.list positive in
+    let parse s =
+      match Arg.conv_parser counts s with
+      | Ok [] -> Error (`Msg "empty list")
+      | parsed -> parsed
+    in
+    let counts = Arg.conv (parse, Arg.conv_printer counts) in
+    Arg.(
+      value & opt counts [ 1; 8; 64 ] & info [ "clients" ] ~docv:"N,..." ~doc)
+  in
+  let requests =
+    let doc = "Requests each client sends." in
+    Arg.(
+      value & opt positive 32
+      & info [ "requests-per-client" ] ~docv:"N" ~doc)
+  in
+  let shards =
+    let doc = "Plan-cache segments." in
+    Arg.(value & opt positive 4 & info [ "shards" ] ~docv:"N" ~doc)
+  in
+  let check_scaling =
+    let doc = "Exit 1 unless the most clients out-serve the fewest." in
+    Arg.(value & flag & info [ "check-scaling" ] ~doc)
+  in
+  mode "serve-load"
+    ~doc:"the TCP front end under concurrent clients"
+    ~description:
+      "For each client count, starts an in-process Vqc_serve_net server \
+       and replays pipelined NDJSON streams from that many concurrent \
+       clients; records p50/p99 latency, requests/s and cache hit rates \
+       (all run-varying, so under \"nd\"). Exits 1 when a client fails, \
+       and with --check-scaling when the highest client count does not \
+       out-serve the lowest: the shared pool and compile store must buy \
+       throughput, not just survive."
+    Term.(
+      const run_serve_bench $ clients $ requests $ jobs_arg 4 $ shards
+      $ out_arg "BENCH_serve.json" $ check_scaling)
+
+let regenerate no_perf =
+  Registry.run_all Format.std_formatter Context.default;
+  Format.pp_print_flush Format.std_formatter ();
+  if not no_perf then run_timings ();
+  0
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "estimator" :: rest -> exit (run_estimator_bench rest)
-  | _ :: "compile" :: rest -> exit (run_compile_bench rest)
-  | _ :: "kernels" :: rest -> exit (run_kernels_bench rest)
-  | _ :: "drift" :: rest -> exit (run_drift_bench rest)
-  | _ :: "serve-load" :: rest -> exit (run_serve_bench rest)
-  | argv ->
-    let skip_perf = List.mem "--no-perf" argv in
-    regenerate_artifacts ();
-    if not skip_perf then run_timings ()
+  let no_perf =
+    let doc = "Skip the Bechamel timings." in
+    Arg.(value & flag & info [ "no-perf" ] ~doc)
+  in
+  let doc = "regenerate the paper's evaluation and measure the system" in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "With no mode, prints every table and figure of the paper's \
+         evaluation (see EXPERIMENTS.md), then times the compiler policies \
+         and the simulation engines with Bechamel. Each mode measures one \
+         subsystem and writes a JSON artifact.";
+    ]
+  in
+  exit
+    (Cmd.eval' ~catch:false
+       (Cmd.group
+          ~default:Term.(const regenerate $ no_perf)
+          (Cmd.info "bench" ~doc ~man ~exits)
+          [ estimator_cmd; kernels_cmd; drift_cmd; serve_load_cmd ]))
