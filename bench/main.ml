@@ -18,6 +18,7 @@ module Registry = Vqc_experiments.Registry
 module Context = Vqc_experiments.Context
 module Compiler = Vqc_mapper.Compiler
 module Monte_carlo = Vqc_sim.Monte_carlo
+module Mc_oracle = Vqc_testkit.Mc_oracle
 module Reliability = Vqc_sim.Reliability
 module Catalog = Vqc_workloads.Catalog
 module Rng = Vqc_rng.Rng
@@ -435,25 +436,27 @@ let run_kernels_bench trials out check =
       cold_rate cold_seconds cold_speedup;
     Printf.printf "compile warm memo: %6.2f plans/s  (%.2fs)  %.2fx\n\n%!"
       warm_rate warm_seconds warm_speedup;
-    (* simulate: flat Bigarray kernel vs the list-based oracle *)
+    (* simulate: flat Bigarray kernel vs the test kit's list-based oracle *)
     let circuit = (Catalog.find "bv-16").Catalog.circuit in
     let compiled = Compiler.compile device Compiler.vqa_vqm circuit in
     let physical = compiled.Compiler.physical in
-    let measure ~engine ~jobs =
-      sustained_rate ~units:trials ~min_seconds:0.5 (fun () ->
-          ignore
-            (Monte_carlo.run ~engine ~jobs ~trials (Rng.make 1) device
-               physical))
-    in
     let mc_rows =
       List.concat_map
         (fun mc_jobs ->
           List.map
-            (fun (mc_engine, engine) ->
-              let trials_per_s = measure ~engine ~jobs:mc_jobs in
+            (fun (mc_engine, run) ->
+              let trials_per_s =
+                sustained_rate ~units:trials ~min_seconds:0.5 (fun () ->
+                    ignore (run ~jobs:mc_jobs (Rng.make 1)))
+              in
               { mc_engine; mc_jobs; trials_per_s })
             [
-              ("flat", Monte_carlo.Flat); ("reference", Monte_carlo.Reference);
+              ( "flat",
+                fun ~jobs rng -> Monte_carlo.run ~jobs ~trials rng device physical
+              );
+              ( "reference",
+                fun ~jobs rng -> Mc_oracle.run ~jobs ~trials rng device physical
+              );
             ])
         [ 1; 4 ]
     in
@@ -750,7 +753,7 @@ let run_drift_bench days threshold jobs out =
 
 module Server = Vqc_serve_net.Server
 module Session = Vqc_serve_net.Session
-module Load = Vqc_serve_net.Load
+module Load = Vqc_testkit.Load
 module Metrics = Vqc_obs.Metrics
 
 (* Nearest-rank percentile over an ascending-sorted array. *)

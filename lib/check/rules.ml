@@ -13,7 +13,7 @@ let allowed_wall_clock =
     "lib/drift/recompiler.ml";
     (* load generator: wall-clock reads feed per-request latency
        percentiles, which are reported under "nd" only *)
-    "lib/serve_net/load.ml";
+    "test/kit/load.ml";
     "bench/main.ml";
   ]
 

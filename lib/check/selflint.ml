@@ -1,8 +1,5 @@
 module Diagnostic = Vqc_diag.Diagnostic
 
-let allowed_wall_clock = Rules.allowed_wall_clock
-let scan_source = Rules.scan_source
-
 let roots = [ "lib"; "bin"; "examples"; "test"; "bench" ]
 
 let rec ml_files directory =
@@ -40,7 +37,7 @@ let scan_tree ~root =
                     (String.length path - String.length root - 1)
                 else path
               in
-              scan_source ~file text
+              Rules.scan_source ~file text
             | exception Sys_error message ->
               [
                 Diagnostic.errorf

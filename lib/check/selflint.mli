@@ -13,13 +13,6 @@
 
     [.mli] files are not scanned (documentation may name the calls). *)
 
-val allowed_wall_clock : string list
-(** Alias of {!Rules.allowed_wall_clock}. *)
-
-val scan_source : file:string -> string -> Vqc_diag.Diagnostic.t list
-(** Alias of {!Rules.scan_source} — lints one file's contents; pure,
-    exposed for tests. *)
-
 val scan_tree : root:string -> Vqc_diag.Diagnostic.t list
 (** Scan [lib/], [bin/], [examples/], [test/] and [bench/] under
     [root] (directories that don't exist are skipped, [_build] is

@@ -22,16 +22,6 @@ let default_config =
     store_capacity = 1024;
   }
 
-(* Session domains are tracked so they can be reaped (joined) as they
-   finish — the runtime caps live domains, so a long-lived server must
-   recycle the slots of departed clients. *)
-type registry = {
-  reg_lock : Mutex.t;
-  mutable live : (Domain.id * unit Domain.t) list;
-      (** guarded by reg_lock *)
-  mutable done_ids : Domain.id list;  (** guarded by reg_lock *)
-}
-
 type t = {
   listener : Unix.file_descr;
   server_port : int;
@@ -41,7 +31,10 @@ type t = {
   store : Service.store;
   stopping : bool Atomic.t;
   active : int Atomic.t;
-  registry : registry;
+  mutable sessions : (bool Atomic.t * unit Domain.t) list;
+      (** owned by the accept domain; each flag is set by its session as
+          its last act.  [stop] reads the list only after joining the
+          accept domain. *)
   mutable accept_domain : unit Domain.t option;
   connections_total : Metrics.counter;
   rejected_total : Metrics.counter;
@@ -50,35 +43,14 @@ type t = {
 
 let port t = t.server_port
 
-let locked_registry registry f =
-  Mutex.lock registry.reg_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry.reg_lock) f
-
-let register t domain =
-  locked_registry t.registry (fun () ->
-      t.registry.live <- (Domain.get_id domain, domain) :: t.registry.live)
-
-let mark_done t id =
-  locked_registry t.registry (fun () ->
-      t.registry.done_ids <- id :: t.registry.done_ids)
-
-(* Join every session domain that has announced completion.  Runs on
-   the accept path (before each spawn) and in [stop]. *)
+(* Join every session domain that has finished.  Runs on the accept
+   path before each spawn: the runtime caps live domains, so a
+   long-lived server must recycle the slots of departed clients. *)
 let reap t =
-  let finished =
-    locked_registry t.registry (fun () ->
-        let finished, live =
-          List.partition
-            (fun (id, _) -> List.mem id t.registry.done_ids)
-            t.registry.live
-        in
-        t.registry.live <- live;
-        t.registry.done_ids <-
-          List.filter
-            (fun id -> not (List.mem_assoc id finished))
-            t.registry.done_ids;
-        finished)
+  let finished, live =
+    List.partition (fun (flag, _) -> Atomic.get flag) t.sessions
   in
+  t.sessions <- live;
   List.iter (fun (_, domain) -> Domain.join domain) finished
 
 (* A refused connection still gets one well-formed response line — the
@@ -102,20 +74,22 @@ let reject_connection t fd =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let run_session t fd =
+let run_session t fd finished =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () ->
-      (* [oc] is the descriptor's one owner: close_out_noerr flushes
-         what it can, then closes the fd exactly once even when the
-         flush fails with Sys_error (peer gone).  [ic] reads the same fd
-         and is never closed — a second close would hit the fd number
-         after the accept domain may have reused it for a new client. *)
-      close_out_noerr oc;
+      (* The slot is released before the socket closes, so a client
+         that reads EOF and reconnects at once finds it free.  [oc] is
+         the descriptor's one owner: close_out_noerr flushes what it
+         can, then closes the fd exactly once even when the flush fails
+         with Sys_error (peer gone).  [ic] reads the same fd and is
+         never closed — a second close would hit the fd number after
+         the accept domain may have reused it for a new client. *)
       Atomic.decr t.active;
       Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
-      mark_done t (Domain.self ()))
+      close_out_noerr oc;
+      Atomic.set finished true)
     (fun () ->
       (* each session is a full service of its own — private plan
          cache, private admission queue, private epoch cursor — over
@@ -131,8 +105,9 @@ let spawn_session t fd =
   Metrics.incr t.connections_total;
   Atomic.incr t.active;
   Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
-  match Domain.spawn (fun () -> run_session t fd) with
-  | domain -> register t domain
+  let finished = Atomic.make false in
+  match Domain.spawn (fun () -> run_session t fd finished) with
+  | domain -> t.sessions <- (finished, domain) :: t.sessions
   | exception Failure _ ->
     (* domain limit: shed the connection like a clients_max overflow *)
     Atomic.decr t.active;
@@ -195,8 +170,7 @@ let start ?(config = default_config) epoch =
           ~capacity:config.store_capacity ();
       stopping = Atomic.make false;
       active = Atomic.make 0;
-      registry =
-        { reg_lock = Mutex.create (); live = []; done_ids = [] };
+      sessions = [];
       accept_domain = None;
       connections_total = Metrics.counter "serve.net.connections";
       rejected_total = Metrics.counter "serve.net.rejected";
@@ -224,14 +198,9 @@ let stop t =
       t.accept_domain <- None
     | None -> ());
     (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (* sessions end when their clients hang up; wait for the stragglers *)
-    let live =
-      locked_registry t.registry (fun () ->
-          let live = t.registry.live in
-          t.registry.live <- [];
-          t.registry.done_ids <- [];
-          live)
-    in
-    List.iter (fun (_, domain) -> Domain.join domain) live;
+    (* sessions end when their clients hang up; wait for the stragglers
+       (the accept domain is joined, so the list is ours now) *)
+    List.iter (fun (_, domain) -> Domain.join domain) t.sessions;
+    t.sessions <- [];
     Pool.shutdown t.pool
   end

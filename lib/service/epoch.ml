@@ -62,9 +62,6 @@ let fingerprint t epoch =
   check t epoch;
   t.fingerprints.(epoch)
 
-let current_device t = device t (current t)
-let current_fingerprint t = fingerprint t (current t)
-
 let find_fingerprint t fp =
   let rec scan i =
     if i >= Array.length t.fingerprints then None

@@ -47,9 +47,6 @@ val fingerprint : t -> int -> string
 (** Calibration fingerprint of an epoch (precomputed at construction).
     @raise Invalid_argument when the epoch is out of range. *)
 
-val current_device : t -> Vqc_device.Device.t
-val current_fingerprint : t -> string
-
 val find_fingerprint : t -> string -> int option
 (** Epoch index whose calibration fingerprint matches, if any — how a
     drift migration recovers the compile-time device of a cached plan
@@ -62,8 +59,6 @@ type migration = {
   recompiled : int;  (** plans recompiled in the background *)
   invalidated : int;  (** plans dropped from the cache *)
 }
-
-val no_migration : migration
 
 type 'a migrate = previous:int -> current:int -> 'a Plan_cache.t -> migration
 (** Custom invalidation seam: called with the epoch indices of the move

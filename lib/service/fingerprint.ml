@@ -16,4 +16,3 @@ let of_string s =
 
 let circuit c = of_string (Vqc_circuit.Qasm.to_string c)
 let calibration c = of_string (Vqc_device.Calibration.to_string c)
-let device d = of_string (Vqc_device.Device.to_string d)

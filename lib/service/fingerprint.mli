@@ -25,8 +25,3 @@ val circuit : Vqc_circuit.Circuit.t -> string
 val calibration : Vqc_device.Calibration.t -> string
 (** Digest of {!Vqc_device.Calibration.to_string} (qubit records in
     index order, links sorted) — one fingerprint per calibration epoch. *)
-
-val device : Vqc_device.Device.t -> string
-(** Digest of the full device serialization (name, gate times,
-    calibration) — distinguishes epochs even across devices that share
-    a calibration table. *)

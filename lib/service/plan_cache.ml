@@ -55,7 +55,6 @@ type 'a segment = {
 }
 
 type 'a t = {
-  cache_capacity : int;
   segments : 'a segment array;
   m : metrics;
 }
@@ -114,15 +113,11 @@ let create ?(shards = 1) ?(metrics_prefix = default_metrics_prefix) ~capacity ()
      [capacity mod shards] segments hold one extra entry *)
   let base = capacity / shards and extra = capacity mod shards in
   {
-    cache_capacity = capacity;
     segments =
       Array.init shards (fun i ->
           make_segment (base + if i < extra then 1 else 0));
     m = metrics_for metrics_prefix;
   }
-
-let capacity t = t.cache_capacity
-let shards t = Array.length t.segments
 
 let locked seg f =
   Mutex.lock seg.lock;
@@ -215,12 +210,6 @@ let retain t keep =
   Metrics.add t.m.retained (length t);
   set_entries_gauge t;
   dropped
-
-let clear t = ignore (retain t (fun _ -> false))
-
-let mem t key =
-  let seg = segment_of t key in
-  locked seg (fun () -> Hashtbl.mem seg.table key)
 
 (* Walk one segment's LRU list head -> tail: most recent first, a
    deterministic function of the preceding request stream (unlike

@@ -49,22 +49,10 @@ val create : ?shards:int -> ?metrics_prefix:string -> capacity:int -> unit -> 'a
     @raise Invalid_argument if [capacity < 1], [shards < 1], or
     [shards > capacity]. *)
 
-val capacity : 'a t -> int
-val shards : 'a t -> int
 val length : 'a t -> int
-
-val segment_index : 'a t -> key -> int
-(** The segment a key lands in: a pure deterministic function of the
-    key's fingerprints and the segment count (FNV-1a, never
-    [Hashtbl.hash]).  Exposed for the sharding equivalence tests. *)
 
 val find : 'a t -> key -> 'a option
 (** LRU-touching lookup.  Counts [<prefix>.hits] or [<prefix>.misses]. *)
-
-val mem : 'a t -> key -> bool
-(** Presence check that neither touches the LRU order nor counts a
-    hit/miss — for background passes that must not disturb the
-    request-driven cache temperature. *)
 
 val insert : 'a t -> key -> 'a -> unit
 (** Insert (or refresh) a plan; evicts the least-recently-used entry of
@@ -78,9 +66,6 @@ val retain : 'a t -> (key -> bool) -> int
     Used by the epoch manager: on epoch advance, plans compiled against
     superseded calibrations are invalidated — the paper's
     recompile-per-calibration regime, realized as cache churn. *)
-
-val clear : 'a t -> unit
-(** Drop everything (counted as invalidations). *)
 
 val entries : 'a t -> (key * 'a) list
 (** Snapshot in per-segment LRU order (most recent first within each

@@ -12,8 +12,8 @@
     failure), same success and draw counts, and the caller's generator
     ends in the same state.  The threshold encoding is exact — see the
     proof sketch in the implementation — so this is an optimization,
-    never an approximation.  [test/test_kernels.ml] holds the
-    differential oracle. *)
+    never an approximation.  [test/test_kernels.ml] holds it to the
+    list-based oracle of the private test kit ([test/kit/mc_oracle.ml]). *)
 
 type table
 

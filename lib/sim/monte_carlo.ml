@@ -75,38 +75,12 @@ let failure_probabilities ?(coherence = true)
   in
   Array.of_list (gate_failures @ coherence_failures)
 
-(* The list-based reference trial loop, kept verbatim as the oracle the
-   flat kernel is differentially tested against (test/test_kernels.ml).
-   Returns (successes, draws) for one chunk. *)
-let run_chunk_reference failure_probabilities rng count =
-  let events = Array.length failure_probabilities in
-  let successes = ref 0 in
-  let draws = ref 0 in
-  for _ = 1 to count do
-    let rec error_free i =
-      i >= events
-      || (incr draws;
-          (not (Rng.bernoulli rng failure_probabilities.(i)))
-          && error_free (i + 1))
-    in
-    if error_free 0 then incr successes
-  done;
-  (!successes, !draws)
-
-type engine = Flat | Reference
-
 (* One chunk of Bernoulli trials against a fixed failure table — the
    unit of work both the fixed and the adaptive path fan out.  [k] is
-   the chunk's global index (trace labelling only).  The engines return
-   identical counts and leave the chunk RNG in identical states (see
-   {!Mc_kernel}); [Flat] is simply faster. *)
-let chunk_kernel ~engine failure_probabilities =
+   the chunk's global index (trace labelling only). *)
+let chunk_kernel failure_probabilities =
   let kernel =
-    match engine with
-    | Flat ->
-      let table = Mc_kernel.of_probabilities failure_probabilities in
-      Mc_kernel.run_chunk table
-    | Reference -> run_chunk_reference failure_probabilities
+    Mc_kernel.run_chunk (Mc_kernel.of_probabilities failure_probabilities)
   in
   fun k rng count ->
     let chunk_started = Unix.gettimeofday () in
@@ -126,8 +100,8 @@ let chunk_kernel ~engine failure_probabilities =
         ];
     successes
 
-let run ?coherence ?coherence_scale ?crosstalk_strength ?(engine = Flat)
-    ?(jobs = 1) ~trials rng device circuit =
+let run ?coherence ?coherence_scale ?crosstalk_strength ?(jobs = 1) ~trials rng
+    device circuit =
   if trials <= 0 then invalid_arg "Monte_carlo.run: need positive trials";
   if jobs < 1 then invalid_arg "Monte_carlo.run: need at least one job";
   Span.with_span ~source:"sim" "sim.mc.run"
@@ -137,7 +111,7 @@ let run ?coherence ?coherence_scale ?crosstalk_strength ?(engine = Flat)
     failure_probabilities ?coherence ?coherence_scale ?crosstalk_strength
       device circuit
   in
-  let run_chunk = chunk_kernel ~engine failure_probabilities in
+  let run_chunk = chunk_kernel failure_probabilities in
   (* Chunked fan-out with per-chunk RNG streams: chunk k draws from the
      k-th [Rng.split] child of the caller's generator, derived here in
      index order on the calling domain.  Results are summed in chunk
@@ -179,8 +153,8 @@ let run ?coherence ?coherence_scale ?crosstalk_strength ?(engine = Flat)
   in
   { trials; successes; pst; ci95 }
 
-let run_adaptive ?coherence ?coherence_scale ?crosstalk_strength
-    ?(engine = Flat) ?jobs ?pool ?config rng device circuit =
+let run_adaptive ?coherence ?coherence_scale ?crosstalk_strength ?jobs ?pool
+    ?config rng device circuit =
   let failure_probabilities =
     failure_probabilities ?coherence ?coherence_scale ?crosstalk_strength
       device circuit
@@ -188,7 +162,7 @@ let run_adaptive ?coherence ?coherence_scale ?crosstalk_strength
   Metrics.incr runs_total;
   let estimate =
     Estimator.run ?config ?jobs ?pool rng
-      (chunk_kernel ~engine failure_probabilities)
+      (chunk_kernel failure_probabilities)
   in
   Metrics.add trials_total estimate.Estimator.trials;
   Metrics.add chunks_total (Estimator.chunks_for estimate.Estimator.trials);

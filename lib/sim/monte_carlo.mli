@@ -36,17 +36,10 @@ val failure_probabilities :
     @raise Invalid_argument if the circuit uses an uncoupled qubit
     pair. *)
 
-type engine =
-  | Flat  (** the {!Mc_kernel} flat-buffer chunk kernel (default) *)
-  | Reference
-      (** the original list-based trial loop, kept as the differential
-          oracle — bit-identical to [Flat], only slower *)
-
 val run :
   ?coherence:bool ->
   ?coherence_scale:float ->
   ?crosstalk_strength:float ->
-  ?engine:engine ->
   ?jobs:int ->
   trials:int ->
   Vqc_rng.Rng.t ->
@@ -61,8 +54,7 @@ val run :
     4096)]) buys nothing — the extra workers would idle — so the fan-out
     is clamped to the chunk count ({!Estimator.effective_jobs};
     [trials = 1, jobs = 8] runs exactly like [jobs = 1], same result
-    included).  [engine] (default [Flat]) selects the chunk kernel; both
-    engines produce identical results, draw streams included.
+    included).  Each chunk runs the {!Mc_kernel} flat kernel.
     @raise Invalid_argument if [trials <= 0], [jobs < 1], or the circuit
     uses an uncoupled qubit pair. *)
 
@@ -70,7 +62,6 @@ val run_adaptive :
   ?coherence:bool ->
   ?coherence_scale:float ->
   ?crosstalk_strength:float ->
-  ?engine:engine ->
   ?jobs:int ->
   ?pool:Vqc_engine.Pool.t ->
   ?config:Estimator.config ->

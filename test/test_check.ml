@@ -203,15 +203,15 @@ let bad_rng = "let () = " ^ "Random." ^ "self_init" ^ " ()\n"
 let bad_clock = "let now = " ^ "Unix." ^ "gettimeofday" ^ " ()\n"
 
 let test_selflint_flags_rng () =
-  let diagnostics = Selflint.scan_source ~file:"lib/foo/bar.ml" bad_rng in
+  let diagnostics = Rules.scan_source ~file:"lib/foo/bar.ml" bad_rng in
   check_int "one finding" 1 (List.length diagnostics);
   has_code Diagnostic.code_determinism diagnostics
 
 let test_selflint_wall_clock_allow_list () =
   let text = "(* prelude *)\n" ^ bad_clock in
   check "flagged outside allow list" true
-    (Selflint.scan_source ~file:"lib/mapper/router.ml" text <> []);
-  (match Selflint.scan_source ~file:"lib/mapper/router.ml" text with
+    (Rules.scan_source ~file:"lib/mapper/router.ml" text <> []);
+  (match Rules.scan_source ~file:"lib/mapper/router.ml" text with
   | [ d ] ->
     check "line 2" true
       (d.Diagnostic.location
@@ -219,8 +219,8 @@ let test_selflint_wall_clock_allow_list () =
   | _ -> Alcotest.fail "expected exactly one finding");
   List.iter
     (fun file ->
-      check (file ^ " allowed") true (Selflint.scan_source ~file bad_clock = []))
-    Selflint.allowed_wall_clock
+      check (file ^ " allowed") true (Rules.scan_source ~file bad_clock = []))
+    Rules.allowed_wall_clock
 
 let test_selflint_repo_is_clean () =
   (* the committed tree must pass its own hygiene bar; run from the
@@ -253,10 +253,10 @@ let test_tokens_comment_string_immunity () =
     ^ "let tricky = \"escaped quote \\\" then Unix.gettimeofday\"\n"
   in
   check "comments and strings never flag" true
-    (Selflint.scan_source ~file:"lib/foo/a.ml" text = []);
+    (Rules.scan_source ~file:"lib/foo/a.ml" text = []);
   (* the same names in code do flag *)
   only_code Diagnostic.code_determinism
-    (Selflint.scan_source ~file:"lib/foo/a.ml" "let cpu = Sys.time ()\n")
+    (Rules.scan_source ~file:"lib/foo/a.ml" "let cpu = Sys.time ()\n")
 
 let test_tokens_dotted_and_char () =
   check "dotted path is one token" true
@@ -290,7 +290,7 @@ let test_line_index_binary_search () =
 
 (* ---- Rules: source analysis ----------------------------------------- *)
 
-let scan file text = Selflint.scan_source ~file text
+let scan file text = Rules.scan_source ~file text
 
 let test_rule_stdout_hygiene () =
   let print = {|let () = print_endline "hi"|} ^ "\n" in

@@ -2,12 +2,12 @@
 
    Mc_kernel promises bit-identity with the straightforward loop over
    Rng.bernoulli: same successes, same visited-event count, and the
-   chunk generator left in the same state.  The oracle below is written
-   from that specification (not shared with the library), so the two
-   sides can only agree by both being right.  The engine-level tests
-   then hold Monte_carlo.run's Flat and Reference engines to identical
-   results over compiled circuits, worker counts, and chunk-boundary
-   trial counts. *)
+   chunk generator left in the same state.  The oracle (Mc_oracle, in
+   the private test kit) is written from that specification, not
+   shared with the library, so the two sides can only agree by both
+   being right.  The engine-level tests then hold Monte_carlo.run to
+   Mc_oracle.run over compiled circuits, worker counts, and
+   chunk-boundary trial counts. *)
 
 module Circuit = Vqc_circuit.Circuit
 module Gate = Vqc_circuit.Gate
@@ -19,26 +19,10 @@ module Catalog = Vqc_workloads.Catalog
 module Context = Vqc_experiments.Context
 module Policies = Vqc_service.Policies
 module Rng = Vqc_rng.Rng
+module Mc_oracle = Vqc_testkit.Mc_oracle
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* The specification, transcribed: a trial visits events in order,
-   counts each visit as a draw, and stops at its first failure.
-   Rng.bernoulli consumes no generator draw for p <= 0 or p >= 1. *)
-let oracle_chunk probabilities rng count =
-  let events = Array.length probabilities in
-  let successes = ref 0 in
-  let draws = ref 0 in
-  for _ = 1 to count do
-    let rec error_free i =
-      i >= events
-      || (incr draws;
-          (not (Rng.bernoulli rng probabilities.(i))) && error_free (i + 1))
-    in
-    if error_free 0 then incr successes
-  done;
-  (!successes, !draws)
 
 let same_rng_state a b = Rng.dump a = Rng.dump b
 
@@ -49,7 +33,7 @@ let assert_kernel_matches ~name probabilities ~seed ~count =
   let oracle_rng = Rng.make seed in
   let table = Mc_kernel.of_probabilities probabilities in
   let kernel_result = Mc_kernel.run_chunk table kernel_rng count in
-  let oracle_result = oracle_chunk probabilities oracle_rng count in
+  let oracle_result = Mc_oracle.chunk probabilities oracle_rng count in
   Alcotest.(check (pair int int))
     (name ^ ": successes and draws") oracle_result kernel_result;
   check (name ^ ": generator state") true (same_rng_state kernel_rng oracle_rng)
@@ -109,21 +93,14 @@ let prop_kernel_matches_oracle =
       let oracle_rng = Rng.make seed in
       let table = Mc_kernel.of_probabilities probabilities in
       Mc_kernel.run_chunk table kernel_rng count
-      = oracle_chunk probabilities oracle_rng count
+      = Mc_oracle.chunk probabilities oracle_rng count
       && same_rng_state kernel_rng oracle_rng)
 
-(* ---- the engines against each other over compiled circuits --------- *)
+(* ---- the engine against the oracle over compiled circuits ----------- *)
 
 let run_both ?(trials = 20_000) ?(jobs = 1) ~seed device circuit =
-  let flat =
-    Monte_carlo.run ~engine:Monte_carlo.Flat ~jobs ~trials (Rng.make seed)
-      device circuit
-  in
-  let reference =
-    Monte_carlo.run ~engine:Monte_carlo.Reference ~jobs ~trials
-      (Rng.make seed) device circuit
-  in
-  (flat, reference)
+  ( Monte_carlo.run ~jobs ~trials (Rng.make seed) device circuit,
+    Mc_oracle.run ~jobs ~trials (Rng.make seed) device circuit )
 
 let results_equal (a : Monte_carlo.result) (b : Monte_carlo.result) =
   a.Monte_carlo.trials = b.Monte_carlo.trials
@@ -133,7 +110,7 @@ let results_equal (a : Monte_carlo.result) (b : Monte_carlo.result) =
 
 let test_engines_agree_on_q5_matrix () =
   (* every Section-7 workload under every service policy, serial and
-     fanned out: the engines must agree to the bit *)
+     fanned out: the engine and the oracle must agree to the bit *)
   let ctx = Context.default in
   let device = ctx.Context.q5 in
   List.iter
@@ -256,7 +233,7 @@ let test_effective_jobs () =
 
 let test_adaptive_full_budget_matches_fixed () =
   (* precision 0 disables early stopping, so the adaptive estimate over
-     the budget equals the fixed run bit for bit — whatever the engine *)
+     the budget equals the fixed run (and the oracle) bit for bit *)
   let ctx = Context.default in
   let device = ctx.Context.q5 in
   let circuit = (Catalog.find "GHZ-3").Catalog.circuit in
@@ -269,21 +246,19 @@ let test_adaptive_full_budget_matches_fixed () =
       batch_trials = Estimator.chunk_trials;
     }
   in
+  let physical = compiled.Compiler.physical in
+  let trials = config.Estimator.max_trials in
+  let adaptive = Monte_carlo.run_adaptive ~config (Rng.make 9) device physical in
   List.iter
-    (fun engine ->
-      let fixed =
-        Monte_carlo.run ~engine ~trials:config.Estimator.max_trials
-          (Rng.make 9) device compiled.Compiler.physical
-      in
-      let adaptive =
-        Monte_carlo.run_adaptive ~engine ~config (Rng.make 9) device
-          compiled.Compiler.physical
-      in
+    (fun (fixed : Monte_carlo.result) ->
       check_int "same trials" fixed.Monte_carlo.trials
         adaptive.Estimator.trials;
       check_int "same successes" fixed.Monte_carlo.successes
         adaptive.Estimator.successes)
-    [ Monte_carlo.Flat; Monte_carlo.Reference ]
+    [
+      Monte_carlo.run ~trials (Rng.make 9) device physical;
+      Mc_oracle.run ~trials (Rng.make 9) device physical;
+    ]
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 

@@ -19,7 +19,8 @@ module Epoch = Vqc_service.Epoch
 module Service = Vqc_service.Service
 module Session = Vqc_serve_net.Session
 module Server = Vqc_serve_net.Server
-module Load = Vqc_serve_net.Load
+module Load = Vqc_testkit.Load
+module Metrics = Vqc_obs.Metrics
 module Diagnostic = Vqc_diag.Diagnostic
 
 let check = Alcotest.(check bool)
@@ -312,6 +313,28 @@ let test_server_full_rejection () =
             Alcotest.failf "expected exactly one rejection line, got %d"
               (List.length lines)))
 
+(* A session frees its slot before its socket closes: with room for one
+   client, each of a run of clients that reads EOF and reconnects at
+   once must be served, never shed as server_full. *)
+let test_slot_recycling () =
+  let rejected = Metrics.counter "serve.net.rejected" in
+  with_server ~clients_max:1 ~jobs:1 ~shards:1 (fun port ->
+      let before = Metrics.counter_value rejected in
+      for i = 1 to 30 do
+        match
+          with_raw_client port (fun fd ->
+              send fd (req i "bv-3" ^ "\n");
+              read_all_lines fd)
+        with
+        | [ line ] ->
+          check (Printf.sprintf "client %d served" i) true
+            (contains line "\"status\":\"ok\"")
+        | lines ->
+          Alcotest.failf "client %d: expected one line, got %d" i
+            (List.length lines)
+      done;
+      check_int "no connection shed" before (Metrics.counter_value rejected))
+
 (* ---- robustness: garbage kills one session, not the server ---------- *)
 
 let test_fuzz_blast_radius () =
@@ -402,6 +425,8 @@ let () =
             `Quick test_queue_full_same_bytes;
           Alcotest.test_case "server-full connection shedding" `Quick
             test_server_full_rejection;
+          Alcotest.test_case "sequential clients reuse the one slot" `Quick
+            test_slot_recycling;
         ] );
       ( "robustness",
         [
