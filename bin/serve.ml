@@ -293,17 +293,12 @@ let cmd =
          byte-identical to the stdin front end.";
       `P
         "A request carrying any of \"precision\", \"max_trials\" or \
-         \"mc_seed\" additionally receives an adaptive Monte-Carlo PST \
-         estimate of its plan: trials stream in fixed chunks until the \
-         tighter of the Wilson / empirical-Bernstein 95% intervals \
-         reaches the precision target (default 1e-3) or the trial \
-         budget (default 1000000) runs out.  The \"estimate\" response \
-         object (trials, successes, pst, both intervals, half_width, \
-         stop reason, budget, saved) is deterministic — seeded by \
-         \"mc_seed\" (default 1) and identical for every --jobs — so \
-         it renders top-level, not under \"nd\".  Estimator telemetry \
-         lands under sim.estimator.* and service.estimates in \
-         --metrics output.";
+         \"mc_seed\" additionally receives its plan's PST: the exact \
+         product of per-operation success probabilities on the epoch's \
+         device, rendered top-level as \"estimate\": {\"pst\": p, \
+         \"half_width\": 0, \"stop\": \"exact\"}.  The three members \
+         must be numbers; their values are otherwise ignored.  Each \
+         rider counts under service.estimates in --metrics output.";
       `S Manpage.s_examples;
       `Pre
         "  echo '{\"id\":1,\"workload\":\"bv-16\"}' | vqc-serve\n\

@@ -38,6 +38,7 @@ type t = {
   mutable accept_domain : unit Domain.t option;
   connections_total : Metrics.counter;
   rejected_total : Metrics.counter;
+  accept_errors_total : Metrics.counter;
   sessions_gauge : Metrics.gauge;
 }
 
@@ -114,11 +115,20 @@ let spawn_session t fd =
     Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
     reject_connection t fd
 
+(* Only the stopping flag ends the loop.  An accept error while running
+   (EMFILE with every descriptor held by live sessions, ENOBUFS, ...) is
+   counted and retried; a short back-off keeps a persistent one from
+   spinning, while ECONNABORTED and EINTR retry at once. *)
 let rec accept_loop t =
   match Unix.accept t.listener with
-  | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_loop t
-  | exception Unix.Unix_error (_, _, _) ->
-    () (* listener closed under us: stopping *)
+  | exception Unix.Unix_error (error, _, _) ->
+    if not (Atomic.get t.stopping) then begin
+      Metrics.incr t.accept_errors_total;
+      (match error with
+      | Unix.ECONNABORTED | Unix.EINTR -> ()
+      | _ -> Unix.sleepf 0.01);
+      accept_loop t
+    end
   | fd, _ ->
     if Atomic.get t.stopping then begin
       try Unix.close fd with Unix.Unix_error _ -> ()
@@ -174,6 +184,7 @@ let start ?(config = default_config) epoch =
       accept_domain = None;
       connections_total = Metrics.counter "serve.net.connections";
       rejected_total = Metrics.counter "serve.net.rejected";
+      accept_errors_total = Metrics.counter "serve.net.accept_errors";
       sessions_gauge = Metrics.gauge "serve.net.sessions";
     }
   in

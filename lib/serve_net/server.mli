@@ -23,10 +23,15 @@
     closed — connection-level load shedding, mirroring the [VQC130]
     per-request admission rejection inside a session.
 
+    An accept error (say EMFILE while every descriptor is held by a
+    live session) never ends the accept loop: it is counted and
+    retried, after a 10 ms back-off unless it is ECONNABORTED or EINTR.
+    Only {!stop} ends the loop.
+
     Metrics: [serve.net.connections], [serve.net.rejected],
-    [serve.net.sessions] (live-session gauge); per-session service
-    traffic lands under [service.*], the shared store under
-    [serve.store.*]. *)
+    [serve.net.accept_errors], [serve.net.sessions] (live-session
+    gauge); per-session service traffic lands under [service.*], the
+    shared store under [serve.store.*]. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port; see {!port} *)

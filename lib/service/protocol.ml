@@ -4,18 +4,12 @@ type source =
   | Workload of string
   | Inline_qasm of string
 
-type estimate_request = {
-  precision : float;
-  max_trials : int;
-  mc_seed : int;
-}
-
 type request = {
   id : Json.t option;
   source : source;
   policy : string;
   epoch : int option;
-  estimate : estimate_request option;
+  estimate : bool;
 }
 
 type control =
@@ -39,92 +33,44 @@ let parse_control json op =
   | other -> Error (Printf.sprintf "unknown op %S" other)
 
 let parse_request json =
+  let ( let* ) = Result.bind in
+  (* an absent member is [None]; a present one must convert *)
+  let optional name conv what =
+    match Json_io.member name json with
+    | None -> Ok None
+    | Some value -> begin
+      match conv value with
+      | Some v -> Ok (Some v)
+      | None -> Error (Printf.sprintf "%S must be %s" name what)
+    end
+  in
   let workload = Option.bind (Json_io.member "workload" json) Json_io.string_value in
   let qasm = Option.bind (Json_io.member "qasm" json) Json_io.string_value in
-  let source =
+  let* source =
     match (workload, qasm) with
     | Some _, Some _ -> Error "request has both \"workload\" and \"qasm\""
     | Some name, None -> Ok (Workload name)
     | None, Some text -> Ok (Inline_qasm text)
     | None, None -> Error "request needs a \"workload\" or \"qasm\" field"
   in
-  match source with
-  | Error _ as e -> e
-  | Ok source ->
-    let policy =
-      match Json_io.member "policy" json with
-      | None -> Ok Policies.default_label
-      | Some value -> begin
-        match Json_io.string_value value with
-        | Some label -> Ok label
-        | None -> Error "\"policy\" must be a string"
-      end
-    in
-    (match policy with
-    | Error _ as e -> e
-    | Ok policy ->
-      let epoch =
-        match Json_io.member "epoch" json with
-        | None -> Ok None
-        | Some value -> begin
-          match Json_io.int_value value with
-          | Some e -> Ok (Some e)
-          | None -> Error "\"epoch\" must be an integer"
-        end
-      in
-      (match epoch with
-      | Error _ as e -> e
-      | Ok epoch ->
-        (* any of precision / max_trials / mc_seed asks for an adaptive
-           PST estimate of the compiled plan alongside it *)
-        let number ~name ~conv ~default =
-          match Json_io.member name json with
-          | None -> Ok (None, default)
-          | Some value -> begin
-            match conv value with
-            | Some v -> Ok (Some v, v)
-            | None -> Error (Printf.sprintf "%S must be a number" name)
-          end
-        in
-        let defaults = Vqc_sim.Estimator.default_config in
-        let estimate =
-          match
-            number ~name:"precision" ~conv:Json_io.float_value
-              ~default:defaults.Vqc_sim.Estimator.precision
-          with
-          | Error _ as e -> e
-          | Ok (precision_given, precision) -> begin
-            match
-              number ~name:"max_trials" ~conv:Json_io.int_value
-                ~default:defaults.Vqc_sim.Estimator.max_trials
-            with
-            | Error _ as e -> e
-            | Ok (max_trials_given, max_trials) -> begin
-              match
-                number ~name:"mc_seed" ~conv:Json_io.int_value ~default:1
-              with
-              | Error _ as e -> e
-              | Ok (mc_seed_given, mc_seed) ->
-                if
-                  precision_given = None && max_trials_given = None
-                  && mc_seed_given = None
-                then Ok None
-                else Ok (Some { precision; max_trials; mc_seed })
-            end
-          end
-        in
-        (match estimate with
-        | Error _ as e -> e
-        | Ok estimate ->
-          Ok
-            (Compile
-               {
-                 id = Json_io.member "id" json;
-                 source;
-                 policy;
-                 epoch;
-                 estimate;
-               }))))
+  let* policy = optional "policy" Json_io.string_value "a string" in
+  let* epoch = optional "epoch" Json_io.int_value "an integer" in
+  (* any of precision / max_trials / mc_seed asks for the plan's PST
+     alongside it; their values only have to be numbers *)
+  let* precision = optional "precision" Json_io.float_value "a number" in
+  let* max_trials = optional "max_trials" Json_io.int_value "a number" in
+  let* mc_seed = optional "mc_seed" Json_io.int_value "a number" in
+  Ok
+    (Compile
+       {
+         id = Json_io.member "id" json;
+         source;
+         policy = Option.value policy ~default:Policies.default_label;
+         epoch;
+         estimate =
+           Option.is_some precision || Option.is_some max_trials
+           || Option.is_some mc_seed;
+       })
 
 let parse_line line =
   match Json_io.parse line with
@@ -167,7 +113,7 @@ type response =
   | Compiled of {
       id : Json.t option;
       plan : plan;
-      estimate : Vqc_sim.Estimator.estimate option;
+      estimate : float option;
       cache : cache_status;
       seconds : float;
     }
@@ -203,27 +149,19 @@ let migration_fields = function
       ("invalidated", Json.Int m.Epoch.invalidated);
     ]
 
-(* The adaptive estimate is a deterministic function of the request
-   (seeded), so it renders top-level, not under "nd". *)
-let estimate_field estimate =
-  match estimate with
+(* The exact PST is a deterministic function of the plan and the
+   device, so it renders top-level, not under "nd".  [half_width] and
+   [stop] keep the shape of a sampled estimate for existing clients. *)
+let estimate_field = function
   | None -> []
-  | Some e ->
-    let module E = Vqc_sim.Estimator in
-    let interval i = Json.List [ Json.Float i.E.lower; Json.Float i.E.upper ] in
+  | Some pst ->
     [
       ( "estimate",
         Json.Obj
           [
-            ("trials", Json.Int e.E.trials);
-            ("successes", Json.Int e.E.successes);
-            ("pst", Json.Float e.E.mean);
-            ("wilson", interval e.E.wilson);
-            ("bernstein", interval e.E.bernstein);
-            ("half_width", Json.Float (E.half_width e));
-            ("stop", Json.String (E.stop_reason_to_string e.E.stop));
-            ("budget", Json.Int e.E.budget);
-            ("saved", Json.Int (E.trials_saved e));
+            ("pst", Json.Float pst);
+            ("half_width", Json.Int 0);
+            ("stop", Json.String "exact");
           ] );
     ]
 

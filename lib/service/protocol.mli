@@ -15,13 +15,12 @@
     - ["epoch"] optionally pins a calibration epoch (default: the
       service's current epoch);
     - any of ["precision"], ["max_trials"], ["mc_seed"] additionally
-      requests an adaptive Monte-Carlo PST estimate of the compiled plan
-      ({!Vqc_sim.Estimator}); unspecified members default to the
-      estimator's defaults (precision 1e-3, budget 1000000) and seed 1.
-      The estimate is a deterministic function of the request, so it
-      renders top-level (an ["estimate"] object with trials, successes,
-      pst, wilson/bernstein intervals, half_width, stop reason, budget
-      and trials saved), not under ["nd"];
+      requests the plan's PST: the exact product of per-operation
+      success probabilities on the epoch's device
+      ({!Vqc_sim.Reliability.pst}), computed per request.  The three
+      members only trigger the rider; each must be a number, but its
+      value is otherwise ignored.  The value renders top-level as
+      [{"pst":p,"half_width":0,"stop":"exact"}], not under ["nd"];
     - ["id"] is echoed back verbatim (any JSON value);
     - control lines carry ["op"]: [advance_epoch], [set_epoch] (with
       ["epoch"]), or [flush].
@@ -40,21 +39,12 @@ type source =
   | Workload of string  (** catalog name, e.g. ["bv-16"] *)
   | Inline_qasm of string
 
-(** An adaptive PST estimate rider on a compile request.  Bounds are
-    range-validated by the service (not the parser), so an out-of-range
-    value fails only its own request. *)
-type estimate_request = {
-  precision : float;  (** target CI half-width; 0 = run the full budget *)
-  max_trials : int;
-  mc_seed : int;  (** RNG seed — same seed, same estimate, bit for bit *)
-}
-
 type request = {
   id : Vqc_obs.Json.t option;  (** echoed verbatim in the response *)
   source : source;
   policy : string;  (** policy label; validated by the service *)
   epoch : int option;  (** pinned calibration epoch *)
-  estimate : estimate_request option;
+  estimate : bool;  (** the request carries the PST rider *)
 }
 
 type control =
@@ -94,9 +84,9 @@ type response =
   | Compiled of {
       id : Vqc_obs.Json.t option;
       plan : plan;
-      estimate : Vqc_sim.Estimator.estimate option;
-          (** present iff the request asked for one; deterministic,
-              rendered top-level *)
+      estimate : float option;
+          (** the plan's exact PST, present iff the request asked for
+              it; deterministic, rendered top-level *)
       cache : cache_status;
       seconds : float;  (** wall-clock service time; rendered under nd *)
     }

@@ -6,9 +6,7 @@ module Compiler = Vqc_mapper.Compiler
 module Layout = Vqc_mapper.Layout
 module Router = Vqc_mapper.Router
 module Pool = Vqc_engine.Pool
-module Estimator = Vqc_sim.Estimator
-module Monte_carlo = Vqc_sim.Monte_carlo
-module Rng = Vqc_rng.Rng
+module Reliability = Vqc_sim.Reliability
 module Metrics = Vqc_obs.Metrics
 module Trace = Vqc_obs.Trace
 module Json = Vqc_obs.Json
@@ -264,13 +262,6 @@ type prepared = {
   key : Plan_cache.key;
 }
 
-let estimator_config (er : Protocol.estimate_request) =
-  {
-    Estimator.default_config with
-    Estimator.precision = er.Protocol.precision;
-    max_trials = er.Protocol.max_trials;
-  }
-
 let resolve t (request : Protocol.request) =
   let circuit =
     match request.Protocol.source with
@@ -315,31 +306,21 @@ let resolve t (request : Protocol.request) =
                "circuit needs %d qubits but device %s has %d"
                (Circuit.num_qubits circuit) (Device.name device)
                (Device.num_qubits device))
-        else begin
-          let estimate_ok =
-            match request.Protocol.estimate with
-            | None -> Ok ()
-            | Some er ->
-              Result.map ignore (Estimator.validate_config (estimator_config er))
-          in
-          match estimate_ok with
-          | Error message -> Error ("estimate: " ^ message)
-          | Ok () ->
-            Ok
-              {
-                request;
-                circuit;
-                device;
-                entry;
-                epoch_index;
-                key =
-                  {
-                    Plan_cache.circuit_fp = Fingerprint.circuit circuit;
-                    calibration_fp = Epoch.fingerprint t.epoch epoch_index;
-                    policy = entry.Policies.label;
-                  };
-              }
-        end
+        else
+          Ok
+            {
+              request;
+              circuit;
+              device;
+              entry;
+              epoch_index;
+              key =
+                {
+                  Plan_cache.circuit_fp = Fingerprint.circuit circuit;
+                  calibration_fp = Epoch.fingerprint t.epoch epoch_index;
+                  policy = entry.Policies.label;
+                };
+            }
       end
   end
 
@@ -388,20 +369,16 @@ let verify_cached prepared payload =
     ~physical:payload.physical ~initial:payload.plan.Protocol.layout
     ~final:payload.final ~swaps:payload.plan.Protocol.swaps
 
-(* The estimate rider runs serially in admission order on the response
-   path (the pool parallelizes the trial chunks *inside* each run), so
-   responses stay a deterministic function of the request stream.  The
-   RNG is seeded per request — cache hits estimate too: the cache stores
-   plans, not estimates, because the seed is the requester's to vary. *)
-let run_estimate t prepared payload =
-  match prepared.request.Protocol.estimate with
-  | None -> None
-  | Some er ->
+(* The PST rider is the exact product over the plan's independent
+   failure events on the requested epoch's device.  It is computed per
+   request, never cached with the plan: a drift-retained plan moves to
+   a new calibration, and a stored value would go stale. *)
+let run_estimate prepared payload =
+  if not prepared.request.Protocol.estimate then None
+  else begin
     Metrics.incr estimates_total;
-    Some
-      (Monte_carlo.run_adaptive ~pool:t.pool ~config:(estimator_config er)
-         (Rng.make er.Protocol.mc_seed)
-         prepared.device payload.physical)
+    Some (Reliability.pst prepared.device payload.physical)
+  end
 
 (* One resolved request, carrying what the lookup phase learned. *)
 type slot =
@@ -588,7 +565,7 @@ let flush t =
                 {
                   id = prepared.request.Protocol.id;
                   plan = payload.plan;
-                  estimate = run_estimate t prepared payload;
+                  estimate = run_estimate prepared payload;
                   cache = Protocol.Hit;
                   seconds;
                 }
@@ -613,7 +590,7 @@ let flush t =
                   {
                     id = prepared.request.Protocol.id;
                     plan = payload.plan;
-                    estimate = run_estimate t prepared payload;
+                    estimate = run_estimate prepared payload;
                     cache = Protocol.Hit;
                     seconds;
                   }
@@ -626,7 +603,7 @@ let flush t =
                 {
                   id = prepared.request.Protocol.id;
                   plan = payload.plan;
-                  estimate = run_estimate t prepared payload;
+                  estimate = run_estimate prepared payload;
                   cache = cache_status;
                   seconds;
                 }

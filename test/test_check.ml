@@ -1037,7 +1037,7 @@ let request workload =
     source = Protocol.Workload workload;
     policy = "vqa+vqm";
     epoch = None;
-    estimate = None;
+    estimate = false;
   }
 
 let test_service_verify_serves_and_rehits () =

@@ -47,8 +47,9 @@ let req id workload =
 
 (* Per-client stream: compiles, repeats (cache hits), a flush, an epoch
    advance and an epoch pin mid-stream (so drift migration acks — whose
-   census is deterministic — interleave with compiles), and one parse
-   error.  Clients start at different rotation offsets so concurrent
+   census is deterministic — interleave with compiles), one parse
+   error, and a PST rider on a plan that has lived through both epoch
+   moves.  Clients start at different rotation offsets so concurrent
    streams collide on the shared store without being identical. *)
 let stream index =
   let w j = workloads.((index + j) mod Array.length workloads) in
@@ -65,6 +66,8 @@ let stream index =
     req 7 (w 1);
     "{not json";
     req 8 (w 2);
+    Printf.sprintf
+      {|{"id":9,"workload":"%s","precision":5e-3,"mc_seed":%d}|} (w 0) index;
   ]
 
 (* ---- nd stripping --------------------------------------------------- *)
@@ -409,6 +412,55 @@ let test_fuzz_blast_radius () =
           check "well-behaved client unharmed by the chaos" true
             (deterministic clean.Load.lines = golden)))
 
+(* ---- resource exhaustion -------------------------------------------- *)
+
+(* Under a 24-descriptor limit, 40 connected clients exhaust the
+   server's descriptors and accept fails with EMFILE.  That must stall
+   the accept loop, not end it: once the crowd hangs up, the next client
+   is served.  The server runs as its own process, so the limit binds it
+   alone. *)
+let test_accept_survives_emfile () =
+  let banner_fd, stderr_fd = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process "/bin/sh"
+      [|
+        "/bin/sh";
+        "-c";
+        "ulimit -n 24; exec ../bin/serve.exe --tcp 0 --days 2";
+      |]
+      Unix.stdin Unix.stdout stderr_fd
+  in
+  Unix.close stderr_fd;
+  let banner = Unix.in_channel_of_descr banner_fd in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      close_in_noerr banner)
+    (fun () ->
+      let port =
+        Scanf.sscanf (input_line banner) "vqc-serve: listening on 127.0.0.1:%d"
+          Fun.id
+      in
+      let connect () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        fd
+      in
+      let crowd = List.init 40 (fun _ -> connect ()) in
+      (* let the server accept until it runs out of descriptors *)
+      Unix.sleepf 0.5;
+      List.iter Unix.close crowd;
+      match
+        with_raw_client port (fun fd ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            send fd (req 1 "bv-3" ^ "\n");
+            read_all_lines fd)
+      with
+      | [ line ] ->
+        check "served after EMFILE" true (contains line "\"status\":\"ok\"")
+      | lines -> Alcotest.failf "expected one line, got %d" (List.length lines))
+
 let () =
   Alcotest.run "serve_net"
     [
@@ -432,5 +484,7 @@ let () =
         [
           Alcotest.test_case "garbage kills one session, not the server"
             `Slow test_fuzz_blast_radius;
+          Alcotest.test_case "accept loop survives EMFILE" `Quick
+            test_accept_survives_emfile;
         ] );
     ]

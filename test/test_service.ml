@@ -23,6 +23,13 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+let contains haystack needle =
+  let ln = String.length needle and lh = String.length haystack in
+  let rec at i =
+    i + ln <= lh && (String.sub haystack i ln = needle || at (i + 1))
+  in
+  ln > 0 && at 0
+
 let counter name =
   Metrics.counter_value (Metrics.counter name)
 
@@ -394,11 +401,64 @@ let test_protocol_render_shapes () =
     Protocol.render (Protocol.Failed { id = None; error = "boom" })
   in
   check_string "error shape" {|{"status":"error","error":"boom"}|} failed;
+  let compiled estimate =
+    Protocol.render
+      (Protocol.Compiled
+         {
+           id = None;
+           plan =
+             {
+               Protocol.policy = "vqa+vqm";
+               epoch = 0;
+               qubits = 1;
+               layout = [| 0 |];
+               swaps = 0;
+               gates = 1;
+               depth = 1;
+               log_reliability = -0.5;
+               circuit_fp = "c";
+               calibration_fp = "k";
+             };
+           estimate;
+           cache = Protocol.Hit;
+           seconds = 0.0;
+         })
+  in
+  let exact = compiled (Some 0.75) and plain = compiled None in
+  check "exact estimate shape" true
+    (contains exact
+       {|"estimate":{"pst":0.75,"half_width":0,"stop":"exact"},"nd":|});
+  check "no rider, no estimate member" false (contains plain {|"estimate"|});
   (* every rendered response reparses as one JSON object *)
   List.iter
     (fun line -> check "response is valid JSON" true
         (match Json_io.parse line with Ok (Json.Obj _) -> true | _ -> false))
-    [ rejected; failed ]
+    [ rejected; failed; exact; plain ]
+
+(* Any of the three rider members alone asks for the PST; their values
+   must be numbers but are otherwise ignored, so out-of-range values
+   parse like any other number. *)
+let test_protocol_estimate_trigger () =
+  let estimate line =
+    match Protocol.parse_line line with
+    | Ok (Protocol.Compile r) -> Ok r.Protocol.estimate
+    | Ok (Protocol.Control _) -> Alcotest.fail "compile request expected"
+    | Error message -> Error message
+  in
+  check "no rider" true (estimate {|{"workload":"bv-3"}|} = Ok false);
+  List.iter
+    (fun member ->
+      check (member ^ " alone triggers") true
+        (estimate (Printf.sprintf {|{"workload":"bv-3","%s":3}|} member)
+        = Ok true);
+      check (member ^ " must be a number") true
+        (estimate (Printf.sprintf {|{"workload":"bv-3","%s":"x"}|} member)
+        = Error (Printf.sprintf "%S must be a number" member)))
+    [ "precision"; "max_trials"; "mc_seed" ];
+  check "out-of-range values are accepted" true
+    (estimate
+       {|{"workload":"bv-3","precision":-1,"max_trials":0,"mc_seed":-5}|}
+    = Ok true)
 
 (* ---- Service end-to-end -------------------------------------------- *)
 
@@ -412,7 +472,7 @@ let request ?id ?policy ?epoch workload =
     source = Protocol.Workload workload;
     policy = Option.value policy ~default:Policies.default_label;
     epoch;
-    estimate = None;
+    estimate = false;
   }
 
 let batch = [ "bv-3"; "bv-4"; "GHZ-3"; "TriSwap"; "bv-3" ]
@@ -722,7 +782,7 @@ let test_service_failures_are_responses () =
           source = Protocol.Inline_qasm "OPENQASM 2.0; qreg q[broken";
           policy = Policies.default_label;
           epoch = None;
-          estimate = None;
+          estimate = false;
         };
       let responses = Service.flush service in
       check_int "five failures" 5 (List.length responses);
@@ -731,6 +791,89 @@ let test_service_failures_are_responses () =
           check "structured failure" true
             (match response with Protocol.Failed _ -> true | _ -> false))
         responses)
+
+(* ---- the estimate rider -------------------------------------------- *)
+
+module Context = Vqc_experiments.Context
+module Compiler = Vqc_mapper.Compiler
+module Monte_carlo = Vqc_sim.Monte_carlo
+module Estimator = Vqc_sim.Estimator
+module Rng = Vqc_rng.Rng
+
+(* Every Table-1 circuit under every serving policy on the seed-2 Q20
+   device, served with the rider: (label, device, physical circuit as
+   the test compiles it, served pst). *)
+let rider_plans =
+  lazy
+    (let device = (Context.make ~seed:2).Context.q20 in
+     let requests =
+       List.concat_map
+         (fun (entry : Catalog.entry) ->
+           List.map (fun label -> (entry, label)) (Policies.names ()))
+         Catalog.table1
+     in
+     let responses =
+       Service.with_service (Epoch.of_devices [ device ]) (fun service ->
+           List.iter
+             (fun ((entry : Catalog.entry), label) ->
+               match
+                 Service.submit service
+                   {
+                     Protocol.id = None;
+                     source = Protocol.Workload entry.Catalog.name;
+                     policy = label;
+                     epoch = None;
+                     estimate = true;
+                   }
+               with
+               | Ok () -> ()
+               | Error _ -> Alcotest.fail "unexpected rejection")
+             requests;
+           Service.flush service)
+     in
+     List.map2
+       (fun ((entry : Catalog.entry), label) response ->
+         let name = entry.Catalog.name ^ "/" ^ label in
+         match response with
+         | Protocol.Compiled { estimate = Some pst; _ } ->
+           let policy = (Option.get (Policies.find label)).Policies.policy in
+           let compiled = Compiler.compile device policy entry.Catalog.circuit in
+           (name, device, compiled.Compiler.physical, pst)
+         | _ -> Alcotest.failf "%s: a compiled response with a pst expected" name)
+       requests responses)
+
+(* The served value is the success probability of the paper's error
+   model exactly: the product over its independent failure events. *)
+let test_rider_is_exact_product () =
+  let plans = Lazy.force rider_plans in
+  check_int "7 circuits x 7 policies" 49 (List.length plans);
+  List.iter
+    (fun (name, device, physical, pst) ->
+      let product =
+        Array.fold_left
+          (fun acc p -> acc *. (1.0 -. p))
+          1.0
+          (Monte_carlo.failure_probabilities device physical)
+      in
+      if Float.abs (pst -. product) > 1e-12 *. product then
+        Alcotest.failf "%s: served %.17g, product %.17g" name pst product)
+    plans
+
+(* The sampled rider the exact value replaced lands within 4 sigma of
+   it.  Every plan shares the seed-1 stream, so the deviations are
+   correlated and a 95% interval test would be the wrong bar. *)
+let test_rider_matches_sampled () =
+  let config = { Estimator.default_config with Estimator.precision = 5e-3 } in
+  List.iter
+    (fun (name, device, physical, pst) ->
+      let mc = Monte_carlo.run_adaptive ~config (Rng.make 1) device physical in
+      let sigma =
+        sqrt (pst *. (1.0 -. pst) /. float_of_int mc.Estimator.trials)
+      in
+      if Float.abs (mc.Estimator.mean -. pst) > 4.0 *. sigma then
+        Alcotest.failf "%s: sampled %.6f vs exact %.6f (sigma %.2g, %d trials)"
+          name mc.Estimator.mean pst sigma mc.Estimator.trials)
+    (Lazy.force rider_plans)
 
 (* ---- runner -------------------------------------------------------- *)
 
@@ -766,6 +909,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "parse errors" `Quick test_protocol_parse_errors;
           Alcotest.test_case "render shapes" `Quick test_protocol_render_shapes;
+          Alcotest.test_case "estimate rider trigger" `Quick
+            test_protocol_estimate_trigger;
         ] );
       ( "service",
         [
@@ -787,5 +932,12 @@ let () =
             test_service_drift_zero_threshold_is_wholesale;
           Alcotest.test_case "failures are responses" `Quick
             test_service_failures_are_responses;
+        ] );
+      ( "rider",
+        [
+          Alcotest.test_case "served pst is the exact product" `Quick
+            test_rider_is_exact_product;
+          Alcotest.test_case "sampled rider within 4 sigma" `Slow
+            test_rider_matches_sampled;
         ] );
     ]
