@@ -789,7 +789,7 @@ type serve_round = {
   sr_failures : string list;
 }
 
-let run_serve_round ~jobs ~shards ~requests_per_client clients =
+let run_serve_round ~jobs ~requests_per_client clients =
   let epochs =
     Epoch.of_history ~name:"Q20" ~coupling:Topologies.ibm_q20_tokyo
       (History.generate ~days:2 ~seed:2 ~coupling:Topologies.ibm_q20_tokyo 20)
@@ -801,12 +801,7 @@ let run_serve_round ~jobs ~shards ~requests_per_client clients =
           Server.default_config with
           Server.clients_max = clients + 8;
           session = { Session.default_config with Session.batch = 1 };
-          service =
-            {
-              Service.default_config with
-              Service.jobs;
-              cache_shards = shards;
-            };
+          service = { Service.default_config with Service.jobs };
         }
       epochs
   in
@@ -872,16 +867,16 @@ let serve_round_json round =
           ] );
     ]
 
-let run_serve_bench clients requests_per_client jobs shards out check_scaling =
+let run_serve_bench clients requests_per_client jobs out check_scaling =
   Printf.printf
-    "Serve-load bench: %d requests/client over %s, jobs=%d shards=%d\n\n"
+    "Serve-load bench: %d requests/client over %s, jobs=%d\n\n"
     requests_per_client
     (String.concat "+" (Array.to_list serve_load_workloads))
-    jobs shards;
+    jobs;
   let rounds =
     List.map
       (fun count ->
-        let round = run_serve_round ~jobs ~shards ~requests_per_client count in
+        let round = run_serve_round ~jobs ~requests_per_client count in
         Printf.printf
           "%3d clients  %5d reqs  %8.1f req/s  p50 %7.2f ms  p99 %7.2f ms  L1 \
            %4.0f%%  store %4.0f%%\n\
@@ -903,7 +898,6 @@ let run_serve_bench clients requests_per_client jobs shards out check_scaling =
        [
          ("bench", Json.String "serve-load");
          ("jobs", Json.Int jobs);
-         ("shards", Json.Int shards);
          ("requests_per_client", Json.Int requests_per_client);
          ("rounds", Json.List (List.map serve_round_json rounds));
        ]);
@@ -1055,10 +1049,6 @@ let serve_load_cmd =
       value & opt positive 32
       & info [ "requests-per-client" ] ~docv:"N" ~doc)
   in
-  let shards =
-    let doc = "Plan-cache segments." in
-    Arg.(value & opt positive 4 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let check_scaling =
     let doc = "Exit 1 unless the most clients out-serve the fewest." in
     Arg.(value & flag & info [ "check-scaling" ] ~doc)
@@ -1074,7 +1064,7 @@ let serve_load_cmd =
        out-serve the lowest: the shared pool and compile store must buy \
        throughput, not just survive."
     Term.(
-      const run_serve_bench $ clients $ requests $ jobs_arg 4 $ shards
+      const run_serve_bench $ clients $ requests $ jobs_arg 4
       $ out_arg "BENCH_serve.json" $ check_scaling)
 
 let regenerate no_perf =

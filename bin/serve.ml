@@ -6,7 +6,7 @@
    worker pool and flush every --batch requests, on control lines, and
    at EOF; a full admission queue yields structured "rejected"
    responses (code VQC130) instead of an exception.  Deterministic
-   fields are byte-identical across --jobs, --shards and cache on/off —
+   fields are byte-identical across --jobs and cache on/off —
    anything run-varying (latency, cache temperature) lives under "nd".
 
    Two front ends share the same session loop (Vqc_serve_net.Session):
@@ -67,7 +67,7 @@ let build_epochs ~seed ~days ~csv_files =
         (Epoch.of_devices
            (List.map (function Ok d -> d | Error _ -> assert false) devices)))
 
-let run jobs batch queue_depth cache_capacity no_cache shards verify
+let run jobs batch queue_depth cache_capacity no_cache verify
     drift_threshold seed days csv_files tcp clients_max max_line
     store_capacity metrics trace =
   let ( let* ) r f = Result.bind r f in
@@ -78,25 +78,17 @@ let run jobs batch queue_depth cache_capacity no_cache shards verify
     let* batch = positive "batch" batch in
     let* queue_depth = positive "queue-depth" queue_depth in
     let* cache_capacity = positive "cache-capacity" cache_capacity in
-    let* shards = positive "shards" shards in
     let* max_line = positive "max-line" max_line in
     let* (_ : int) = positive "store-capacity" store_capacity in
     let* (_ : int) = positive "clients-max" clients_max in
     let* _days = positive "days" days in
-    let* () =
-      if shards > cache_capacity then
-        Error
-          (Printf.sprintf "--shards (%d) must not exceed --cache-capacity (%d)"
-             shards cache_capacity)
-      else Ok ()
-    in
-    Ok (jobs, batch, queue_depth, cache_capacity, shards, max_line)
+    Ok (jobs, batch, queue_depth, cache_capacity, max_line)
   in
   match checked with
   | Error message ->
     prerr_endline ("vqc-serve: " ^ message);
     1
-  | Ok (jobs, batch, queue_depth, cache_capacity, shards, max_line) -> (
+  | Ok (jobs, batch, queue_depth, cache_capacity, max_line) -> (
     match build_epochs ~seed ~days ~csv_files with
     | Error message ->
       prerr_endline ("vqc-serve: " ^ message);
@@ -107,7 +99,6 @@ let run jobs batch queue_depth cache_capacity no_cache shards verify
           Service.jobs;
           cache_capacity;
           cache_enabled = not no_cache;
-          cache_shards = shards;
           queue_limit = queue_depth;
           verify;
           drift =
@@ -175,14 +166,6 @@ let no_cache_term =
      'bypass').  Deterministic response fields are unchanged."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let shards_term =
-  let doc =
-    "Lock-striped segments of each plan cache (and of the shared store \
-     under --tcp).  Sharding cuts lock contention between concurrent \
-     sessions; responses are byte-identical for every value."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let verify_term =
   let doc =
@@ -305,14 +288,14 @@ let cmd =
         \  echo '{\"id\":2,\"workload\":\"bv-16\",\"precision\":1e-3}' \
          | vqc-serve\n\
         \  vqc-serve --jobs 4 --no-cache < requests.ndjson\n\
-        \  vqc-serve --tcp 7421 --jobs 4 --shards 4 --clients-max 128";
+        \  vqc-serve --tcp 7421 --jobs 4 --clients-max 128";
     ]
   in
   Cmd.v
     (Cmd.info "vqc-serve" ~doc ~man)
     Term.(
       const run $ jobs_term $ batch_term $ queue_depth_term
-      $ cache_capacity_term $ no_cache_term $ shards_term $ verify_term
+      $ cache_capacity_term $ no_cache_term $ verify_term
       $ drift_threshold_term $ seed_term $ days_term $ csv_term $ tcp_term
       $ clients_max_term $ max_line_term $ store_capacity_term
       $ metrics_term $ trace_term)

@@ -175,9 +175,7 @@ let start ?(config = default_config) epoch =
       server_config = config;
       epoch;
       pool = Pool.create ~jobs:config.service.Service.jobs ();
-      store =
-        Service.shared_store ~shards:config.service.Service.cache_shards
-          ~capacity:config.store_capacity ();
+      store = Service.shared_store ~capacity:config.store_capacity ();
       stopping = Atomic.make false;
       active = Atomic.make 0;
       sessions = [];

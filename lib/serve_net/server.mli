@@ -15,8 +15,8 @@
     shared is invisible outside latency, metrics and the ["nd"]
     response section.  The determinism test wall
     ([test/test_serve_net.ml]) holds concurrent response streams to
-    their single-client golden runs across shard counts, worker counts
-    and client counts.
+    their single-client golden runs across worker counts and client
+    counts.
 
     Beyond [clients_max] concurrent clients, a new connection receives
     one [rejected] line (reason [server_full], code [VQC131]) and is
@@ -39,8 +39,7 @@ type config = {
   session : Session.config;
   service : Vqc_service.Service.config;
       (** per-session service configuration ([jobs] sizes the shared
-          pool; [cache_shards] stripes both the session caches and the
-          shared store) *)
+          pool) *)
   store_capacity : int;  (** shared compile store entries *)
 }
 

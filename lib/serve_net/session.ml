@@ -104,7 +104,8 @@ let run ?(config = default_config) service ic oc =
     | Line line ->
       (match Protocol.parse_line line with
       | Error message ->
-        slots := Ready (Protocol.Failed { id = None; error = message }) :: !slots
+        let id = Protocol.line_id line in
+        slots := Ready (Protocol.Failed { id; error = message }) :: !slots
       | Ok (Protocol.Control Protocol.Flush) ->
         flush_slots ();
         ack "flush"

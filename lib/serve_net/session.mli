@@ -40,5 +40,6 @@ type outcome =
 
 val run : ?config:config -> Vqc_service.Service.t -> in_channel -> out_channel -> outcome
 (** Serve one session to completion.  Never raises on malformed input
-    — parse errors become [Failed] responses and the loop continues;
+    — parse errors become [Failed] responses (carrying the line's
+    ["id"] when the line is a JSON object) and the loop continues;
     only the conditions in {!outcome} end it. *)

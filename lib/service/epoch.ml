@@ -1,7 +1,6 @@
 module Device = Vqc_device.Device
 module History = Vqc_device.History
 module Metrics = Vqc_obs.Metrics
-module Trace = Vqc_obs.Trace
 
 let advances = Metrics.counter "service.epoch.advances"
 let current_gauge = Metrics.gauge "service.epoch.current"
@@ -77,27 +76,7 @@ type migration = {
   invalidated : int;
 }
 
-let no_migration =
-  { retained = 0; reverified = 0; recompiled = 0; invalidated = 0 }
-
-type 'a migrate = previous:int -> current:int -> 'a Plan_cache.t -> migration
-
-(* Wholesale invalidation reproduces the paper's
-   recompile-per-calibration regime: after a calibration update only
-   plans for the live calibration survive; anything pinned to a
-   superseded epoch will recompile on its next request. *)
-let flush_superseded t cache epoch =
-  let live = t.fingerprints.(epoch) in
-  let dropped =
-    Plan_cache.retain cache (fun key -> key.Plan_cache.calibration_fp = live)
-  in
-  {
-    no_migration with
-    retained = Plan_cache.length cache;
-    invalidated = dropped;
-  }
-
-let move ?migrate t cache epoch =
+let move t epoch =
   let previous =
     locked t (fun () ->
         let previous = t.current in
@@ -106,31 +85,12 @@ let move ?migrate t cache epoch =
   in
   Metrics.incr advances;
   Metrics.set current_gauge (float_of_int epoch);
-  let migration =
-    match cache with
-    | None -> no_migration
-    | Some cache -> (
-      match migrate with
-      | Some migrate -> migrate ~previous ~current:epoch cache
-      | None -> flush_superseded t cache epoch)
-  in
-  if Trace.enabled () then
-    Trace.emit ~source:"service" ~event:"epoch_advance"
-      [
-        ("from", Vqc_obs.Json.Int previous);
-        ("to", Vqc_obs.Json.Int epoch);
-        ("retained", Vqc_obs.Json.Int migration.retained);
-        ("reverified", Vqc_obs.Json.Int migration.reverified);
-        ("recompiled", Vqc_obs.Json.Int migration.recompiled);
-        ("invalidated", Vqc_obs.Json.Int migration.invalidated);
-      ];
-  migration
+  previous
 
-let advance ?migrate t cache =
+let advance t =
   let next = (current t + 1) mod epochs t in
-  let migration = move ?migrate t cache next in
-  (next, migration)
+  (move t next, next)
 
-let set ?migrate t cache epoch =
+let set t epoch =
   check t epoch;
-  move ?migrate t cache epoch
+  move t epoch

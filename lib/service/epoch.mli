@@ -6,11 +6,12 @@
     that cadence as a rotation over a fixed set of {e epochs}, each a
     full {!Vqc_device.Device.t} (same topology, that epoch's
     calibration): requests compile against the current epoch unless they
-    pin one explicitly, and {!advance} rotates to the next epoch,
-    invalidating every cached plan that was compiled against a
-    superseded calibration — so the recompile-per-calibration regime of
-    the paper shows up as measurable cache churn
-    ([service.cache.invalidated]) rather than as an opaque cost.
+    pin one explicitly, and {!advance} rotates to the next epoch.  The
+    cursor touches no cache: {!Service.advance_epoch} moves it and then
+    invalidates every cached plan compiled against a superseded
+    calibration — so the recompile-per-calibration regime of the paper
+    shows up as measurable cache churn ([service.cache.invalidated])
+    rather than as an opaque cost.
 
     Epoch sources: a synthetic multi-day {!Vqc_device.History} (the
     52-day model of paper Figure 8) or explicit devices, e.g. parsed
@@ -59,24 +60,16 @@ type migration = {
   recompiled : int;  (** plans recompiled in the background *)
   invalidated : int;  (** plans dropped from the cache *)
 }
+(** The tally of one epoch move's cache invalidation, as
+    {!Service.advance_epoch} reports it. *)
 
-type 'a migrate = previous:int -> current:int -> 'a Plan_cache.t -> migration
-(** Custom invalidation seam: called with the epoch indices of the move
-    and the cache, returns the migration tally to report.  The drift
-    pipeline ({!Vqc_drift}) plugs in here; when absent, the move takes
-    the wholesale path below. *)
-
-val advance : ?migrate:'a migrate -> t -> 'a Plan_cache.t option -> int * migration
-(** Rotate to the next epoch (wrapping) and, when a cache is supplied,
-    run the invalidation path: [migrate] when given, otherwise the
-    wholesale flush that drops every plan not keyed by the new epoch's
-    calibration fingerprint (the paper's recompile-per-calibration
-    regime).  Returns the new epoch index and the migration tally.
+val advance : t -> int * int
+(** Rotate to the next epoch (wrapping) and return [(previous, next)].
     Counts [service.epoch.advances] and sets the
     [service.epoch.current] gauge.  With a single epoch the rotation
-    wraps to itself and the wholesale path invalidates nothing: every
-    plan is keyed by the still-live calibration. *)
+    wraps to itself. *)
 
-val set : ?migrate:'a migrate -> t -> 'a Plan_cache.t option -> int -> migration
-(** Jump to a specific epoch (same invalidation rule as {!advance}).
+val set : t -> int -> int
+(** Jump to a specific epoch and return the previous one; counted like
+    {!advance}.
     @raise Invalid_argument when the epoch is out of range. *)

@@ -58,8 +58,8 @@ let parse_request json =
   (* any of precision / max_trials / mc_seed asks for the plan's PST
      alongside it; their values only have to be numbers *)
   let* precision = optional "precision" Json_io.float_value "a number" in
-  let* max_trials = optional "max_trials" Json_io.int_value "a number" in
-  let* mc_seed = optional "mc_seed" Json_io.int_value "a number" in
+  let* max_trials = optional "max_trials" Json_io.float_value "a number" in
+  let* mc_seed = optional "mc_seed" Json_io.float_value "a number" in
   Ok
     (Compile
        {
@@ -85,6 +85,10 @@ let parse_line line =
     | None -> parse_request json
   end
   | Ok _ -> Error "request must be a JSON object"
+
+let line_id line =
+  Result.fold ~ok:(Json_io.member "id") ~error:(fun _ -> None)
+    (Json_io.parse line)
 
 type plan = {
   policy : string;

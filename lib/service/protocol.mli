@@ -21,7 +21,8 @@
       members only trigger the rider; each must be a number, but its
       value is otherwise ignored.  The value renders top-level as
       [{"pst":p,"half_width":0,"stop":"exact"}], not under ["nd"];
-    - ["id"] is echoed back verbatim (any JSON value);
+    - ["id"] is echoed back verbatim (any JSON value), also on the
+      error response to an object that fails request parsing;
     - control lines carry ["op"]: [advance_epoch], [set_epoch] (with
       ["epoch"]), or [flush].
 
@@ -58,6 +59,11 @@ type input =
 
 val parse_line : string -> (input, string) result
 (** Parse one NDJSON line. *)
+
+val line_id : string -> Vqc_obs.Json.t option
+(** The ["id"] member of a line that is a JSON object, [None] for any
+    other line — so the failure reply to a line {!parse_line} refuses
+    still carries the id the client sent. *)
 
 (** The deterministic payload of a successful compilation. *)
 type plan = {

@@ -20,7 +20,6 @@ type config = {
   jobs : int;
   cache_capacity : int;
   cache_enabled : bool;
-  cache_shards : int;
   queue_limit : int;
   verify : bool;
   drift : Retention.policy option;
@@ -31,7 +30,6 @@ let default_config =
     jobs = 1;
     cache_capacity = 256;
     cache_enabled = true;
-    cache_shards = 1;
     queue_limit = 64;
     verify = false;
     drift = None;
@@ -63,8 +61,8 @@ type cached = {
    and can be shared by sessions sitting at different epochs. *)
 type store = cached Plan_cache.t
 
-let shared_store ?shards ~capacity () =
-  Plan_cache.create ?shards ~metrics_prefix:"serve.store" ~capacity ()
+let shared_store ~capacity () =
+  Plan_cache.create ~metrics_prefix:"serve.store" ~capacity ()
 
 type t = {
   service_config : config;
@@ -96,9 +94,7 @@ let create ?(config = default_config) ?pool ?store epoch =
   {
     service_config = config;
     epoch;
-    cache =
-      Plan_cache.create ~shards:config.cache_shards
-        ~capacity:config.cache_capacity ();
+    cache = Plan_cache.create ~capacity:config.cache_capacity ();
     store;
     queue = Admission.create ~limit:config.queue_limit;
     pool;
@@ -110,9 +106,6 @@ let epoch_manager t = t.epoch
 
 let submit t request = Admission.enqueue t.queue request
 let pending t = Admission.depth t.queue
-
-let cache_for_invalidation t =
-  if t.service_config.cache_enabled then Some t.cache else None
 
 (* Shared by the request path and the drift recompiler: everything a
    response needs, derived from one compiler result. *)
@@ -155,7 +148,7 @@ let payload_of_compiled ~device ~source ~epoch_index ~(key : Plan_cache.key)
    out over the worker pool keyed by that same order — so the final
    cache state is a pure function of (request stream, epoch history,
    drift policy), independent of worker count. *)
-let drift_migrate t policy ~previous:_ ~current cache =
+let drift_migrate t policy ~current cache =
   let new_device = Epoch.device t.epoch current in
   let new_fp = Epoch.fingerprint t.epoch current in
   let reverified = ref 0 in
@@ -236,20 +229,56 @@ let drift_migrate t policy ~previous:_ ~current cache =
     invalidated = List.length outcome.Plan_cache.dropped;
   }
 
-(* A wholesale policy (threshold <= 0) must be byte-identical to no
-   drift at all, so it simply never installs the migrate seam. *)
-let migrate_for t =
-  match t.service_config.drift with
-  | Some policy when not (Retention.wholesale policy) ->
-    Some (fun ~previous ~current cache ->
-        drift_migrate t policy ~previous ~current cache)
-  | Some _ | None -> None
+(* Wholesale invalidation reproduces the paper's
+   recompile-per-calibration regime: after a calibration update only
+   plans for the live calibration survive; anything pinned to a
+   superseded epoch will recompile on its next request. *)
+let flush_stale t ~current cache =
+  let live = Epoch.fingerprint t.epoch current in
+  let outcome =
+    Plan_cache.migrate cache ~decide:(fun key _ ->
+        if String.equal key.Plan_cache.calibration_fp live then Some key
+        else None)
+  in
+  {
+    Epoch.retained = outcome.Plan_cache.kept;
+    reverified = 0;
+    recompiled = 0;
+    invalidated = List.length outcome.Plan_cache.dropped;
+  }
+
+(* The one place an epoch move touches a cache.  A wholesale drift
+   policy (threshold <= 0) must be byte-identical to no drift at all,
+   so it takes the flush path. *)
+let after_move t ~previous ~current =
+  let migration =
+    if not t.service_config.cache_enabled then
+      { Epoch.retained = 0; reverified = 0; recompiled = 0; invalidated = 0 }
+    else
+      match t.service_config.drift with
+      | Some policy when not (Retention.wholesale policy) ->
+        drift_migrate t policy ~current t.cache
+      | Some _ | None -> flush_stale t ~current t.cache
+  in
+  if Trace.enabled () then
+    Trace.emit ~source:"service" ~event:"epoch_advance"
+      [
+        ("from", Json.Int previous);
+        ("to", Json.Int current);
+        ("retained", Json.Int migration.Epoch.retained);
+        ("reverified", Json.Int migration.Epoch.reverified);
+        ("recompiled", Json.Int migration.Epoch.recompiled);
+        ("invalidated", Json.Int migration.Epoch.invalidated);
+      ];
+  migration
 
 let advance_epoch t =
-  Epoch.advance ?migrate:(migrate_for t) t.epoch (cache_for_invalidation t)
+  let previous, current = Epoch.advance t.epoch in
+  (current, after_move t ~previous ~current)
 
-let set_epoch t e =
-  Epoch.set ?migrate:(migrate_for t) t.epoch (cache_for_invalidation t) e
+let set_epoch t current =
+  let previous = Epoch.set t.epoch current in
+  after_move t ~previous ~current
 
 (* ---- request resolution -------------------------------------------- *)
 

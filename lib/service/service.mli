@@ -25,13 +25,6 @@ type config = {
   jobs : int;  (** worker domains for batch compilation (>= 1) *)
   cache_capacity : int;
   cache_enabled : bool;
-  cache_shards : int;
-      (** lock stripes of the plan cache (>= 1).  Sharding changes lock
-          contention only: with any shard count the cache serves the
-          same hits and evicts per-segment LRU, and a single-session
-          service is byte-identical for the same request stream.  The
-          default [1] is byte-identical to the historical single-mutex
-          cache. *)
   queue_limit : int;
   verify : bool;
       (** statically verify every plan ({!Vqc_check.Verify}) before it
@@ -49,8 +42,8 @@ type config = {
 }
 
 val default_config : config
-(** jobs 1, capacity 256, cache enabled, 1 shard, queue limit 64,
-    verify off, drift off. *)
+(** jobs 1, capacity 256, cache enabled, queue limit 64, verify off,
+    drift off. *)
 
 type t
 
@@ -65,9 +58,8 @@ type store
     in metrics ([serve.store.*]) and the ["nd"] response section:
     deterministic response fields never depend on it. *)
 
-val shared_store : ?shards:int -> capacity:int -> unit -> store
-(** [shards] defaults to [1]; see {!Plan_cache.create} for the
-    constraints. *)
+val shared_store : capacity:int -> unit -> store
+(** @raise Invalid_argument if [capacity < 1]. *)
 
 val create : ?config:config -> ?pool:Vqc_engine.Pool.t -> ?store:store -> Epoch.t -> t
 (** [?pool] shares an existing worker pool instead of spawning one —
@@ -95,9 +87,12 @@ val flush : t -> Protocol.response list
 
 val advance_epoch : t -> int * Epoch.migration
 (** Rotate the calibration epoch and run the configured invalidation
-    path — the wholesale flush by default, the drift pipeline when
-    [config.drift] carries a non-wholesale policy.  Returns the new
-    epoch index and the migration tally. *)
+    path — the wholesale flush by default (one {!Plan_cache.migrate}
+    keeping exactly the plans keyed by the live calibration), the drift
+    pipeline when [config.drift] carries a non-wholesale policy, nothing
+    with the cache disabled.  Returns the new epoch index and the
+    migration tally, which is also traced as an [epoch_advance]
+    event. *)
 
 val set_epoch : t -> int -> Epoch.migration
 (** Jump to a specific epoch (same invalidation path as

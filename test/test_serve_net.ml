@@ -2,8 +2,8 @@
 
    Everything here holds one promise: a client's deterministic response
    bytes are a pure function of its own request stream.  Not of the
-   shard count, not of the worker count, not of what other clients do
-   concurrently, not of the shared compile store's temperature.  The
+   worker count, not of what other clients do concurrently, not of the
+   shared compile store's temperature.  The
    reference for every stream is the stdin session loop (the same
    Session code the TCP server runs), so single-client TCP equivalence
    is golden-enforced, and every concurrent client is held to its own
@@ -35,7 +35,7 @@ let contains haystack needle =
   ln > 0 && at 0
 
 (* Small workloads on the 5-qubit device keep each compile cheap: the
-   wall exercises sessions, sharding and interleavings, not the mapper. *)
+   wall exercises sessions and interleavings, not the mapper. *)
 let epochs () =
   Epoch.of_history ~name:"Q5" ~coupling:Topologies.ibm_q5_tenerife
     (History.generate ~days:3 ~seed:5 ~coupling:Topologies.ibm_q5_tenerife 5)
@@ -136,11 +136,10 @@ let stdin_run ?(session = Session.default_config) ~config lines =
 
 (* ---- server scaffolding --------------------------------------------- *)
 
-let base_config ~jobs ~shards =
+let base_config ~jobs =
   {
     Service.default_config with
     Service.jobs;
-    cache_shards = shards;
     cache_capacity = 8;
     (* non-wholesale drift: epoch moves run the selective retention
        pipeline, whose kept/dropped census lands in deterministic
@@ -149,7 +148,7 @@ let base_config ~jobs ~shards =
   }
 
 let with_server ?(clients_max = 16) ?(session = Session.default_config)
-    ~jobs ~shards f =
+    ~jobs f =
   let server =
     Server.start
       ~config:
@@ -157,7 +156,7 @@ let with_server ?(clients_max = 16) ?(session = Session.default_config)
           Server.default_config with
           Server.clients_max;
           session;
-          service = base_config ~jobs ~shards;
+          service = base_config ~jobs;
           store_capacity = 64;
         }
       (epochs ())
@@ -192,8 +191,8 @@ let read_all_lines fd =
 
 let test_tcp_matches_stdin () =
   let lines = stream 0 in
-  let _, golden = stdin_run ~config:(base_config ~jobs:1 ~shards:1) lines in
-  with_server ~jobs:1 ~shards:1 (fun port ->
+  let _, golden = stdin_run ~config:(base_config ~jobs:1) lines in
+  with_server ~jobs:1 (fun port ->
       let result = Load.client ~port ~requests:lines () in
       check_int "one response per request" (List.length lines)
         (List.length result.Load.lines);
@@ -208,20 +207,19 @@ let test_tcp_matches_stdin () =
 (* ---- multi-client determinism wall ---------------------------------- *)
 
 (* Every concurrent client's stream must replay to the bytes of its own
-   single-client reference, for every combination of shard count,
-   worker count and client count.  The goldens are computed once at
-   (jobs 1, shards 1): equality across the matrix IS the shards/jobs
-   invariance claim. *)
+   single-client reference, for every combination of worker count and
+   client count.  The goldens are computed once at jobs 1: equality
+   across the matrix IS the jobs invariance claim. *)
 let test_multi_client_determinism () =
   let goldens =
     Array.init 64 (fun index ->
         deterministic
-          (snd (stdin_run ~config:(base_config ~jobs:1 ~shards:1)
+          (snd (stdin_run ~config:(base_config ~jobs:1)
                   (stream index))))
   in
   List.iter
-    (fun (shards, jobs, clients) ->
-      with_server ~clients_max:64 ~jobs ~shards (fun port ->
+    (fun (jobs, clients) ->
+      with_server ~clients_max:64 ~jobs (fun port ->
           let results =
             Load.run ~port ~clients ~requests:(fun index -> stream index) ()
           in
@@ -229,26 +227,24 @@ let test_multi_client_determinism () =
             (fun index result ->
               match result with
               | Error e ->
-                Alcotest.failf "shards=%d jobs=%d clients=%d client %d: %s"
-                  shards jobs clients index e
+                Alcotest.failf "jobs=%d clients=%d client %d: %s" jobs
+                  clients index e
               | Ok { Load.lines; _ } ->
                 check
                   (Printf.sprintf
-                     "shards=%d jobs=%d clients=%d client %d matches its \
-                      solo golden"
-                     shards jobs clients index)
+                     "jobs=%d clients=%d client %d matches its solo golden"
+                     jobs clients index)
                   true
                   (deterministic lines = goldens.(index)))
             results))
     [
-      (1, 1, 2);
-      (1, 4, 8);
-      (4, 1, 8);
-      (4, 4, 2);
-      (4, 4, 8);
+      (1, 2);
+      (4, 8);
+      (1, 8);
+      (4, 2);
       (* 64 sessions churn fd numbers fast enough to expose a session
          that closes its descriptor twice *)
-      (4, 2, 64);
+      (2, 64);
     ]
 
 (* ---- backpressure renders identically on both front ends ------------ *)
@@ -258,7 +254,7 @@ let test_queue_full_same_bytes () =
      full queue and must be rejected with the VQC130 code — identically
      on stdin and TCP *)
   let config =
-    { (base_config ~jobs:1 ~shards:1) with Service.queue_limit = 2 }
+    { (base_config ~jobs:1) with Service.queue_limit = 2 }
   in
   let session = { Session.default_config with Session.batch = 100 } in
   let lines = List.init 5 (fun i -> req (i + 1) "bv-3") in
@@ -295,7 +291,7 @@ let test_queue_full_same_bytes () =
 (* ---- connection-level load shedding --------------------------------- *)
 
 let test_server_full_rejection () =
-  with_server ~clients_max:1 ~jobs:1 ~shards:1 (fun port ->
+  with_server ~clients_max:1 ~jobs:1 (fun port ->
       with_raw_client port (fun occupant ->
           (* prove the occupant's session is live before crowding it *)
           send occupant (req 1 "bv-3" ^ "\n");
@@ -321,7 +317,7 @@ let test_server_full_rejection () =
    once must be served, never shed as server_full. *)
 let test_slot_recycling () =
   let rejected = Metrics.counter "serve.net.rejected" in
-  with_server ~clients_max:1 ~jobs:1 ~shards:1 (fun port ->
+  with_server ~clients_max:1 ~jobs:1 (fun port ->
       let before = Metrics.counter_value rejected in
       for i = 1 to 30 do
         match
@@ -344,29 +340,39 @@ let test_fuzz_blast_radius () =
   let session = { Session.batch = 2; max_line = 128 } in
   let golden =
     deterministic
-      (snd (stdin_run ~session ~config:(base_config ~jobs:1 ~shards:1)
+      (snd (stdin_run ~session ~config:(base_config ~jobs:1)
               (stream 0)))
   in
-  with_server ~session ~jobs:2 ~shards:4 (fun port ->
+  with_server ~session ~jobs:2 (fun port ->
       (* a stuck client mid-line, held open across everything below: its
          unfinished garbage must not delay or corrupt anyone *)
       with_raw_client port (fun stuck ->
           send stuck "{\"id\":99,\"workl";
-          (* truncated JSON: a Failed response, then normal service *)
+          (* truncated JSON: a Failed response, then normal service;
+             an object that fails request parsing keeps its id *)
           let truncated =
             with_raw_client port (fun fd ->
                 send fd "{\"id\":1,\n";
+                send fd {|{"id":8,"workload":"bv-4","mc_seed":"x"}|};
+                send fd "\n{\"id\":11,\"op\":\"set_epoch\"}\n";
                 send fd (req 2 "bv-3" ^ "\n");
                 read_all_lines fd)
           in
           (match truncated with
-          | [ failed; served ] ->
-            check "truncated line fails" true
-              (contains failed "\"status\":\"error\"");
+          | [ failed; bad_member; bad_op; served ] ->
+            check "truncated line fails without an id" true
+              (contains failed "\"status\":\"error\""
+              && not (contains failed "\"id\""));
+            check_string "bad member echoes its id"
+              {|{"id":8,"status":"error","error":"\"mc_seed\" must be a number"}|}
+              bad_member;
+            check_string "bad op echoes its id"
+              {|{"id":11,"status":"error","error":"set_epoch needs an integer \"epoch\" field"}|}
+              bad_op;
             check "same session still serves" true
               (contains served "\"status\":\"ok\"")
           | lines ->
-            Alcotest.failf "truncated: expected 2 lines, got %d"
+            Alcotest.failf "truncated: expected 4 lines, got %d"
               (List.length lines));
           (* invalid UTF-8 bytes: a Failed response, session survives *)
           let invalid =

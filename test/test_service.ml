@@ -196,13 +196,16 @@ let test_cache_lru_eviction () =
   check "1 survives" true (Plan_cache.find cache (key 1) = Some 1);
   check "3 present" true (Plan_cache.find cache (key 3) = Some 3)
 
+(* The wholesale epoch flush is a migrate that keeps keys as they are
+   or drops them. *)
 let test_cache_retain () =
   let cache = Plan_cache.create ~capacity:8 () in
   List.iter (fun n -> Plan_cache.insert cache (key n) n) [ 1; 2; 3; 4 ];
-  let dropped =
-    Plan_cache.retain cache (fun k -> k.Plan_cache.circuit_fp = "c2")
+  let m =
+    Plan_cache.migrate cache ~decide:(fun k _ ->
+        if k.Plan_cache.circuit_fp = "c2" then Some k else None)
   in
-  check_int "three dropped" 3 dropped;
+  check_int "three dropped" 3 (List.length m.Plan_cache.dropped);
   check_int "one left" 1 (Plan_cache.length cache);
   check "survivor" true (Plan_cache.find cache (key 2) = Some 2)
 
@@ -220,18 +223,13 @@ let test_cache_counters () =
   check_int "one eviction counted" (evictions0 + 1)
     (counter "service.cache.evictions")
 
-(* ---- Plan_cache sharding equivalence (qcheck) ----------------------- *)
+(* ---- Plan_cache against the reference LRU (qcheck) ---------------- *)
 
-(* Random op streams over a small key space, replayed against a
-   single-segment reference cache and a sharded one.  With capacity at
-   least the key space (no evictions), sharding must be invisible:
-   identical find results, identical final contents, identical
-   migration censuses, identical hit/miss counter movements (every
-   segment feeds the same counters, so the sums across shards match
-   the single-segment reference by observation, not by construction).
-   Eviction is per-segment LRU, so under eviction pressure the wall
-   asserts the bounded-size invariant and exact run-to-run
-   reproducibility instead of pointwise equality. *)
+(* Random op streams over a small key space, replayed against the cache
+   and the assoc-list {!Lru_model}, at capacities from 1 (every new key
+   evicts) to beyond the key space (nothing does).  After every op the
+   two must agree pointwise: the op's result, the whole LRU order, and
+   the hit/miss/eviction counter movements. *)
 
 type cache_op =
   | C_insert of int
@@ -249,88 +247,49 @@ let gen_cache_ops =
          ]))
 
 (* Deterministic, content-based migration decision: drop every fifth
-   value, re-key even values to a seed-named calibration (cross-segment
-   moves included — the new fingerprint hashes wherever it hashes),
-   keep odd values in place. *)
+   value, re-key even values to a seed-named calibration, keep odd
+   values in place.  A key re-inserted after a migration and migrated
+   again under the same seed re-keys onto an occupied key. *)
 let migrate_decide seed k v =
   if v mod 5 = 4 then None
   else if v mod 2 = 0 then
     Some { k with Plan_cache.calibration_fp = Printf.sprintf "cal-m%d" seed }
   else Some k
 
-(* Replay ops, rendering each observable outcome: traces from two
-   behaviourally equal caches are equal as string lists.  Migration
-   drops are rendered sorted — segment walk order is the one legitimate
-   representation difference between shard counts. *)
-let apply_cache_ops cache ops =
-  List.map
-    (fun op ->
-      match op with
-      | C_insert n ->
-        Plan_cache.insert cache (key n) n;
-        Printf.sprintf "insert %d" n
-      | C_find n -> begin
-        match Plan_cache.find cache (key n) with
-        | Some v -> Printf.sprintf "find %d -> %d" n v
-        | None -> Printf.sprintf "find %d -> miss" n
-      end
-      | C_migrate seed ->
-        let m = Plan_cache.migrate cache ~decide:(migrate_decide seed) in
-        Printf.sprintf "migrate %d -> kept %d dropped [%s]" seed
-          m.Plan_cache.kept
-          (String.concat ";"
-             (List.sort compare
-                (List.map
-                   (fun (k, v) ->
-                     Printf.sprintf "%s=%d" (Plan_cache.key_to_string k) v)
-                   m.Plan_cache.dropped))))
-    ops
-
-let sorted_entries cache =
-  List.sort compare (Plan_cache.entries cache)
-
-let prop_sharding_invisible =
-  QCheck2.Test.make ~name:"sharded cache = single segment (no evictions)"
-    ~count:100
-    QCheck2.Gen.(pair gen_cache_ops (int_range 2 5))
-    (fun (ops, shards) ->
-      let reference =
-        Plan_cache.create ~metrics_prefix:"test.shardeq.ref" ~capacity:32 ()
+let prop_cache_matches_model =
+  QCheck2.Test.make ~name:"lru cache = assoc-list model" ~count:200
+    QCheck2.Gen.(pair gen_cache_ops (int_range 1 20))
+    (fun (ops, capacity) ->
+      let cache = Plan_cache.create ~metrics_prefix:"test.lru" ~capacity () in
+      let model = Lru_model.create ~capacity in
+      let moved name =
+        let before = counter ("test.lru." ^ name) in
+        fun () -> counter ("test.lru." ^ name) - before
       in
-      let sharded =
-        Plan_cache.create ~shards ~metrics_prefix:"test.shardeq.shd"
-          ~capacity:32 ()
-      in
-      let ref_hits0 = counter "test.shardeq.ref.hits" in
-      let ref_misses0 = counter "test.shardeq.ref.misses" in
-      let shd_hits0 = counter "test.shardeq.shd.hits" in
-      let shd_misses0 = counter "test.shardeq.shd.misses" in
-      let ref_trace = apply_cache_ops reference ops in
-      let shd_trace = apply_cache_ops sharded ops in
-      ref_trace = shd_trace
-      && sorted_entries reference = sorted_entries sharded
-      && counter "test.shardeq.ref.hits" - ref_hits0
-         = counter "test.shardeq.shd.hits" - shd_hits0
-      && counter "test.shardeq.ref.misses" - ref_misses0
-         = counter "test.shardeq.shd.misses" - shd_misses0)
-
-let prop_sharded_eviction_reproducible =
-  QCheck2.Test.make
-    ~name:"sharded eviction stays bounded and replays identically" ~count:100
-    gen_cache_ops
-    (fun ops ->
-      let run () =
-        let cache =
-          Plan_cache.create ~shards:3 ~metrics_prefix:"test.shardevict"
-            ~capacity:6 ()
-        in
-        let trace = apply_cache_ops cache ops in
-        (trace, Plan_cache.entries cache, Plan_cache.length cache)
-      in
-      let trace1, entries1, length1 = run () in
-      let trace2, entries2, length2 = run () in
-      length1 <= 6 && length1 = length2 && trace1 = trace2
-      && entries1 = entries2)
+      let hits = moved "hits" and misses = moved "misses" in
+      let evictions = moved "evictions" in
+      List.for_all
+        (fun op ->
+          let same_result =
+            match op with
+            | C_insert n ->
+              Plan_cache.insert cache (key n) n;
+              Lru_model.insert model (key n) n;
+              true
+            | C_find n ->
+              Plan_cache.find cache (key n) = Lru_model.find model (key n)
+            | C_migrate seed ->
+              let decide = migrate_decide seed in
+              let m = Plan_cache.migrate cache ~decide in
+              (m.Plan_cache.kept, m.Plan_cache.dropped)
+              = Lru_model.migrate model ~decide
+          in
+          same_result
+          && Plan_cache.entries cache = model.Lru_model.entries
+          && hits () = model.Lru_model.hits
+          && misses () = model.Lru_model.misses
+          && evictions () = model.Lru_model.evictions)
+        ops)
 
 (* ---- Admission ----------------------------------------------------- *)
 
@@ -436,8 +395,8 @@ let test_protocol_render_shapes () =
     [ rejected; failed; exact; plain ]
 
 (* Any of the three rider members alone asks for the PST; their values
-   must be numbers but are otherwise ignored, so out-of-range values
-   parse like any other number. *)
+   must be numbers but are otherwise ignored, so out-of-range and
+   non-integer values parse like any other number. *)
 let test_protocol_estimate_trigger () =
   let estimate line =
     match Protocol.parse_line line with
@@ -458,6 +417,9 @@ let test_protocol_estimate_trigger () =
   check "out-of-range values are accepted" true
     (estimate
        {|{"workload":"bv-3","precision":-1,"max_trials":0,"mc_seed":-5}|}
+    = Ok true);
+  check "non-integers are accepted" true
+    (estimate {|{"workload":"bv-3","max_trials":1.5,"mc_seed":2.5}|}
     = Ok true)
 
 (* ---- Service end-to-end -------------------------------------------- *)
@@ -509,8 +471,6 @@ let test_service_deterministic_across_jobs_and_cache () =
         { Service.default_config with Service.jobs = 4 };
         { Service.default_config with Service.jobs = 1; cache_enabled = false };
         { Service.default_config with Service.jobs = 4; cache_enabled = false };
-        { Service.default_config with Service.jobs = 1; cache_shards = 4 };
-        { Service.default_config with Service.jobs = 4; cache_shards = 8 };
       ]
   in
   match runs with
@@ -556,7 +516,7 @@ let test_service_shared_store_warms_across_sessions () =
     Service.with_service (q5_epochs ()) (fun service ->
         deterministic_lines (run_batch service))
   in
-  let store = Service.shared_store ~shards:2 ~capacity:64 () in
+  let store = Service.shared_store ~capacity:64 () in
   let run_with_store () =
     let service = Service.create ~store (q5_epochs ()) in
     Fun.protect
@@ -899,8 +859,7 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "retain" `Quick test_cache_retain;
           Alcotest.test_case "counters" `Quick test_cache_counters;
-          QCheck_alcotest.to_alcotest prop_sharding_invisible;
-          QCheck_alcotest.to_alcotest prop_sharded_eviction_reproducible;
+          QCheck_alcotest.to_alcotest prop_cache_matches_model;
         ] );
       ( "admission",
         [ Alcotest.test_case "bounds" `Quick test_admission_bounds ] );
